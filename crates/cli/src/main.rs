@@ -90,7 +90,10 @@ fn cmd_contracts() -> Result<(), String> {
             "nft_drop",
             "mint-rush drop: DELEGATECALL royalties, STATICCALL floor",
         ),
-        ("floor_oracle", "write-free floor price read (STATICCALL target)"),
+        (
+            "floor_oracle",
+            "write-free floor price read (STATICCALL target)",
+        ),
     ];
     for (name, description) in descriptions {
         let code = contract_by_name(name).expect("listed contracts exist");

@@ -55,7 +55,9 @@ impl fmt::Display for RlpError {
 
 impl std::error::Error for RlpError {}
 
-fn encode_length(len: usize, offset: u8, out: &mut Vec<u8>) {
+/// Appends the RLP header announcing a `len`-byte payload: `offset` is
+/// `0x80` for a byte string, `0xc0` for a list.
+pub fn encode_length(len: usize, offset: u8, out: &mut Vec<u8>) {
     if len <= 55 {
         out.push(offset + len as u8);
     } else {
@@ -64,6 +66,15 @@ fn encode_length(len: usize, offset: u8, out: &mut Vec<u8>) {
         let significant = &len_bytes[first..];
         out.push(offset + 55 + significant.len() as u8);
         out.extend_from_slice(significant);
+    }
+}
+
+/// Size of the header [`encode_length`] appends for a `len`-byte payload.
+pub fn length_prefix_len(len: usize) -> usize {
+    if len <= 55 {
+        1
+    } else {
+        1 + (usize::BITS - len.leading_zeros()).div_ceil(8) as usize
     }
 }
 
@@ -227,6 +238,15 @@ mod tests {
         let list = encode_list(&[item.clone(), item.clone()]);
         assert_eq!(list[0], 0xf8);
         assert_eq!(list[1], 110);
+    }
+
+    #[test]
+    fn length_prefix_len_matches_encode_length() {
+        for len in (0..300).chain([65_535, 65_536, 1 << 24, usize::MAX]) {
+            let mut out = Vec::new();
+            encode_length(len, 0x80, &mut out);
+            assert_eq!(length_prefix_len(len), out.len(), "len {len}");
+        }
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! inline-node rule and Keccak-256 hashing), so the canonical Ethereum trie
 //! test vectors hold.
 //!
-//! Nodes are immutable and shared via [`Arc`], so committing a block only
-//! rebuilds the paths it touched; per-node encodings are cached, making
+//! Nodes are shared via [`Arc`], so a clone is O(1) and committing a block
+//! only touches the paths it writes. An update changes a node in place
+//! when this trie is its only owner and copies it when a clone shares it,
+//! so clones never change. Each node caches one thing: its reference as
+//! seen from its parent (at most 33 bytes, held inline), which makes
 //! repeated root computation cheap.
 //!
 //! # Examples
@@ -27,7 +30,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dmvcc_primitives::rlp::{encode_bytes, encode_list};
+use dmvcc_primitives::rlp::{encode_bytes, encode_length, length_prefix_len};
 use dmvcc_primitives::{keccak256, H256};
 
 /// Root hash of the empty trie: `keccak256(rlp(""))`.
@@ -35,7 +38,10 @@ pub fn empty_root() -> H256 {
     keccak256(&encode_bytes(b""))
 }
 
-#[derive(Debug)]
+/// RLP of an absent branch child or value: the empty string.
+const EMPTY_ITEM: &[u8] = &[0x80];
+
+#[derive(Debug, Clone)]
 enum NodeKind {
     Leaf {
         path: Vec<u8>, // nibbles
@@ -51,81 +57,191 @@ enum NodeKind {
     },
 }
 
+/// A node's reference as seen from its parent: the node's RLP encoding
+/// itself when shorter than 32 bytes, otherwise `0xa0 ‖ keccak(encoding)`.
+#[derive(Debug, Clone, Copy)]
+struct NodeRef {
+    len: u8,
+    bytes: [u8; 33],
+}
+
+impl NodeRef {
+    fn of(encoding: &[u8]) -> NodeRef {
+        let mut bytes = [0u8; 33];
+        if encoding.len() < 32 {
+            bytes[..encoding.len()].copy_from_slice(encoding);
+            NodeRef {
+                len: encoding.len() as u8,
+                bytes,
+            }
+        } else {
+            bytes[0] = 0xa0;
+            bytes[1..].copy_from_slice(keccak256(encoding).as_bytes());
+            NodeRef { len: 33, bytes }
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    /// The hash of the referenced node, as the root commitment.
+    fn hash(&self) -> H256 {
+        if self.len == 33 {
+            H256(self.bytes[1..].try_into().expect("32-byte digest"))
+        } else {
+            keccak256(self.as_slice())
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Node {
     kind: NodeKind,
-    /// Cached full RLP encoding of this node.
-    encoded: OnceLock<Vec<u8>>,
-    /// Cached reference as seen from the parent: the encoding itself when
-    /// shorter than 32 bytes, otherwise `rlp(keccak(encoding))`.
-    reference: OnceLock<Vec<u8>>,
+    /// Cached reference; unset while the node (or anything beneath it)
+    /// has changed since it was last hashed.
+    reference: OnceLock<NodeRef>,
+}
+
+/// A copy made for a write starts unhashed.
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        Node {
+            kind: self.kind.clone(),
+            reference: OnceLock::new(),
+        }
+    }
 }
 
 impl Node {
     fn new(kind: NodeKind) -> Arc<Node> {
         Arc::new(Node {
             kind,
-            encoded: OnceLock::new(),
             reference: OnceLock::new(),
         })
     }
 
-    fn encode(&self) -> &[u8] {
-        self.encoded.get_or_init(|| match &self.kind {
+    fn leaf(path: Vec<u8>, value: Vec<u8>) -> Arc<Node> {
+        Node::new(NodeKind::Leaf { path, value })
+    }
+
+    /// The node in `slot`, ready to change: updated in place when this
+    /// trie is its only owner, copied first when a clone shares it. Its
+    /// cached reference is cleared either way.
+    fn make_mut(slot: &mut Arc<Node>) -> &mut Node {
+        let node = Arc::make_mut(slot);
+        node.reference.take();
+        node
+    }
+
+    fn reference(&self) -> &NodeRef {
+        self.reference.get_or_init(|| NodeRef::of(&self.encode()))
+    }
+
+    /// The node's RLP encoding, written once into a buffer sized from its
+    /// items (children contribute their cached references).
+    fn encode(&self) -> Vec<u8> {
+        match &self.kind {
             NodeKind::Leaf { path, value } => {
-                encode_list(&[encode_bytes(&hex_prefix(path, true)), encode_bytes(value)])
+                encode_node(&[Item::Path(path, true), Item::Bytes(value)])
             }
-            NodeKind::Extension { path, child } => encode_list(&[
-                encode_bytes(&hex_prefix(path, false)),
-                child.reference().to_vec(),
+            NodeKind::Extension { path, child } => encode_node(&[
+                Item::Path(path, false),
+                Item::Raw(child.reference().as_slice()),
             ]),
             NodeKind::Branch { children, value } => {
-                let mut items = Vec::with_capacity(17);
-                for child in children.iter() {
-                    match child {
-                        Some(node) => items.push(node.reference().to_vec()),
-                        None => items.push(encode_bytes(b"")),
+                let mut items = [Item::Raw(EMPTY_ITEM); 17];
+                for (item, child) in items.iter_mut().zip(children) {
+                    if let Some(child) = child {
+                        *item = Item::Raw(child.reference().as_slice());
                     }
                 }
-                items.push(encode_bytes(value.as_deref().unwrap_or(b"")));
-                encode_list(&items)
+                if let Some(value) = value {
+                    items[16] = Item::Bytes(value);
+                }
+                encode_node(&items)
             }
-        })
-    }
-
-    fn reference(&self) -> &[u8] {
-        self.reference.get_or_init(|| {
-            let encoded = self.encode();
-            if encoded.len() < 32 {
-                encoded.to_vec()
-            } else {
-                encode_bytes(keccak256(encoded).as_bytes())
-            }
-        })
-    }
-
-    fn hash(&self) -> H256 {
-        keccak256(self.encode())
+        }
     }
 }
 
-/// Hex-prefix encodes a nibble path with the leaf/extension flag.
-fn hex_prefix(nibbles: &[u8], leaf: bool) -> Vec<u8> {
-    let flag: u8 = if leaf { 2 } else { 0 };
-    let odd = nibbles.len() % 2 == 1;
-    let mut out = Vec::with_capacity(nibbles.len() / 2 + 1);
-    if odd {
-        out.push(((flag | 1) << 4) | nibbles[0]);
-        for pair in nibbles[1..].chunks(2) {
-            out.push((pair[0] << 4) | pair[1]);
-        }
-    } else {
-        out.push(flag << 4);
-        for pair in nibbles.chunks(2) {
-            out.push((pair[0] << 4) | pair[1]);
+/// One item of a node's RLP list.
+#[derive(Clone, Copy)]
+enum Item<'a> {
+    /// A nibble path, hex-prefix encoded with the leaf flag.
+    Path(&'a [u8], bool),
+    /// A byte string, RLP-encoded.
+    Bytes(&'a [u8]),
+    /// An item that is already RLP (a child reference or the empty string).
+    Raw(&'a [u8]),
+}
+
+impl Item<'_> {
+    fn encoded_len(&self) -> usize {
+        match *self {
+            Item::Path(nibbles, _) => string_len(nibbles.len() / 2 + 1, nibbles.len() < 2),
+            Item::Bytes(data) => string_len(data.len(), is_lone_byte(data)),
+            Item::Raw(raw) => raw.len(),
         }
     }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match *self {
+            Item::Path(nibbles, leaf) => {
+                let len = nibbles.len() / 2 + 1;
+                if len > 1 {
+                    encode_length(len, 0x80, out);
+                }
+                write_hex_prefix(nibbles, leaf, out);
+            }
+            Item::Bytes(data) => {
+                if !is_lone_byte(data) {
+                    encode_length(data.len(), 0x80, out);
+                }
+                out.extend_from_slice(data);
+            }
+            Item::Raw(raw) => out.extend_from_slice(raw),
+        }
+    }
+}
+
+/// A single byte below `0x80`, which RLP encodes as itself.
+fn is_lone_byte(data: &[u8]) -> bool {
+    data.len() == 1 && data[0] < 0x80
+}
+
+/// Encoded size of a `len`-byte RLP string; `single` marks a lone byte
+/// that encodes as itself.
+fn string_len(len: usize, single: bool) -> usize {
+    if single {
+        1
+    } else {
+        length_prefix_len(len) + len
+    }
+}
+
+/// RLP-encodes `items` as a list into one exactly-sized buffer.
+fn encode_node(items: &[Item]) -> Vec<u8> {
+    let payload: usize = items.iter().map(Item::encoded_len).sum();
+    let mut out = Vec::with_capacity(length_prefix_len(payload) + payload);
+    encode_length(payload, 0xc0, &mut out);
+    for item in items {
+        item.write(&mut out);
+    }
     out
+}
+
+/// Hex-prefix encodes a nibble path with the leaf/extension flag.
+fn write_hex_prefix(nibbles: &[u8], leaf: bool, out: &mut Vec<u8>) {
+    let flag: u8 = if leaf { 2 } else { 0 };
+    let rest = if nibbles.len() % 2 == 1 {
+        out.push(((flag | 1) << 4) | nibbles[0]);
+        &nibbles[1..]
+    } else {
+        out.push(flag << 4);
+        nibbles
+    };
+    out.extend(rest.chunks(2).map(|pair| (pair[0] << 4) | pair[1]));
 }
 
 /// Expands bytes into nibbles (high nibble first).
@@ -160,7 +276,7 @@ impl Mpt {
     /// Returns the Keccak-256 root commitment of the current contents.
     pub fn root(&self) -> H256 {
         match &self.root {
-            Some(node) => node.hash(),
+            Some(node) => node.reference().hash(),
             None => empty_root(),
         }
     }
@@ -180,32 +296,24 @@ impl Mpt {
     pub fn insert(&mut self, key: &[u8], value: Vec<u8>) {
         assert!(!value.is_empty(), "Mpt::insert: empty value, use remove");
         let nibbles = to_nibbles(key);
-        let new_root = match self.root.take() {
-            Some(node) => insert_at(&node, &nibbles, value),
-            None => Node::new(NodeKind::Leaf {
-                path: nibbles,
-                value,
-            }),
-        };
-        self.root = Some(new_root);
+        match &mut self.root {
+            Some(root) => insert_at(root, &nibbles, value),
+            None => self.root = Some(Node::leaf(nibbles, value)),
+        }
     }
 
     /// Removes `key` if present. Returns `true` if an entry was removed.
     pub fn remove(&mut self, key: &[u8]) -> bool {
         let nibbles = to_nibbles(key);
-        match self.root.take() {
-            Some(node) => match remove_at(&node, &nibbles) {
-                RemoveResult::NotFound => {
-                    self.root = Some(node);
-                    false
-                }
-                RemoveResult::Removed(new_root) => {
-                    self.root = new_root;
-                    true
-                }
-            },
-            None => false,
+        // A miss must leave every node (and its cached reference) alone.
+        if self.lookup(&nibbles).is_none() {
+            return false;
         }
+        let root = self.root.as_mut().expect("a found key has a root");
+        if !remove_at(root, &nibbles) {
+            self.root = None;
+        }
+        true
     }
 
     /// Looks up the value stored at `key`, copying it out.
@@ -235,6 +343,10 @@ impl Mpt {
             heap = to_nibbles(key);
             &heap
         };
+        self.lookup(nibbles)
+    }
+
+    fn lookup(&self, nibbles: &[u8]) -> Option<&[u8]> {
         let mut node = self.root.as_deref()?;
         let mut path: &[u8] = nibbles;
         loop {
@@ -277,9 +389,10 @@ impl Mpt {
     /// Number of top-level subtrees whose hashes must be recomputed for
     /// the next [`Mpt::root`] call.
     ///
-    /// Dirty tracking falls out of the persistent structure for free:
-    /// mutations build fresh nodes with empty `OnceLock` caches, so a
-    /// cached reference proves the entire subtree beneath it is clean.
+    /// Dirty tracking falls out of the update rule for free: an update
+    /// clears the cached reference of every node on its path (copying the
+    /// node first if a clone shares it), so a cached reference proves the
+    /// entire subtree beneath it is clean.
     pub fn dirty_top_subtrees(&self) -> usize {
         match self.top_branch() {
             Some(branch) => match &branch.kind {
@@ -303,7 +416,7 @@ impl Mpt {
     pub fn root_cached(&self) -> bool {
         self.root
             .as_ref()
-            .is_none_or(|node| node.encoded.get().is_some())
+            .is_none_or(|node| node.reference.get().is_some())
     }
 
     /// Computes the root, hashing dirty top-level subtrees on up to
@@ -342,30 +455,31 @@ impl Mpt {
                 }
             }
         }
-        root.hash()
+        root.reference().hash()
     }
 }
 
-fn insert_at(node: &Arc<Node>, path: &[u8], value: Vec<u8>) -> Arc<Node> {
-    match &node.kind {
+/// Inserts `value` at `path` beneath the node in `slot`, updating the
+/// path's nodes in place where this trie owns them alone.
+fn insert_at(slot: &mut Arc<Node>, path: &[u8], value: Vec<u8>) {
+    let node = Node::make_mut(slot);
+    match &mut node.kind {
         NodeKind::Leaf {
             path: leaf_path,
             value: leaf_value,
         } => {
             if leaf_path.as_slice() == path {
-                return Node::new(NodeKind::Leaf {
-                    path: path.to_vec(),
-                    value,
-                });
+                *leaf_value = value;
+                return;
             }
             let common = common_prefix_len(leaf_path, path);
             let branch = make_branch(
                 &leaf_path[common..],
-                leaf_value.clone(),
+                std::mem::take(leaf_value),
                 &path[common..],
                 value,
             );
-            wrap_extension(&path[..common], branch)
+            *slot = wrap_extension(&path[..common], branch);
         }
         NodeKind::Extension {
             path: ext_path,
@@ -373,66 +487,43 @@ fn insert_at(node: &Arc<Node>, path: &[u8], value: Vec<u8>) -> Arc<Node> {
         } => {
             let common = common_prefix_len(ext_path, path);
             if common == ext_path.len() {
-                // Descend through the extension.
-                let new_child = insert_at(child, &path[common..], value);
-                return Node::new(NodeKind::Extension {
-                    path: ext_path.clone(),
-                    child: new_child,
-                });
+                insert_at(child, &path[common..], value);
+                return;
             }
             // Split the extension at the divergence point.
             let mut children: [Option<Arc<Node>>; 16] = Default::default();
-            let ext_branch_nibble = ext_path[common];
             let remaining_ext = &ext_path[common + 1..];
-            let ext_side = if remaining_ext.is_empty() {
-                child.clone()
+            children[ext_path[common] as usize] = Some(if remaining_ext.is_empty() {
+                Arc::clone(child)
             } else {
                 Node::new(NodeKind::Extension {
                     path: remaining_ext.to_vec(),
-                    child: child.clone(),
+                    child: Arc::clone(child),
                 })
-            };
-            children[ext_branch_nibble as usize] = Some(ext_side);
+            });
             let mut branch_value = None;
             if common == path.len() {
                 branch_value = Some(value);
             } else {
-                let new_nibble = path[common];
-                children[new_nibble as usize] = Some(Node::new(NodeKind::Leaf {
-                    path: path[common + 1..].to_vec(),
-                    value,
-                }));
+                children[path[common] as usize] =
+                    Some(Node::leaf(path[common + 1..].to_vec(), value));
             }
             let branch = Node::new(NodeKind::Branch {
                 children,
                 value: branch_value,
             });
-            wrap_extension(&path[..common], branch)
+            *slot = wrap_extension(&path[..common], branch);
         }
         NodeKind::Branch {
             children,
             value: branch_value,
-        } => {
-            if path.is_empty() {
-                return Node::new(NodeKind::Branch {
-                    children: children.clone(),
-                    value: Some(value),
-                });
-            }
-            let nibble = path[0] as usize;
-            let mut new_children = children.clone();
-            new_children[nibble] = Some(match &children[nibble] {
-                Some(child) => insert_at(child, &path[1..], value),
-                None => Node::new(NodeKind::Leaf {
-                    path: path[1..].to_vec(),
-                    value,
-                }),
-            });
-            Node::new(NodeKind::Branch {
-                children: new_children,
-                value: branch_value.clone(),
-            })
-        }
+        } => match path.split_first() {
+            None => *branch_value = Some(value),
+            Some((&nibble, rest)) => match &mut children[nibble as usize] {
+                Some(child) => insert_at(child, rest, value),
+                empty => *empty = Some(Node::leaf(rest.to_vec(), value)),
+            },
+        },
     }
 }
 
@@ -444,21 +535,13 @@ fn make_branch(a_path: &[u8], a_value: Vec<u8>, b_path: &[u8], b_value: Vec<u8>)
         !(a_path.is_empty() && b_path.is_empty()),
         "identical paths must be handled by the caller"
     );
-    if a_path.is_empty() {
-        value = Some(a_value);
-    } else {
-        children[a_path[0] as usize] = Some(Node::new(NodeKind::Leaf {
-            path: a_path[1..].to_vec(),
-            value: a_value,
-        }));
-    }
-    if b_path.is_empty() {
-        value = Some(b_value);
-    } else {
-        children[b_path[0] as usize] = Some(Node::new(NodeKind::Leaf {
-            path: b_path[1..].to_vec(),
-            value: b_value,
-        }));
+    for (path, leaf_value) in [(a_path, a_value), (b_path, b_value)] {
+        match path.split_first() {
+            None => value = Some(leaf_value),
+            Some((&nibble, rest)) => {
+                children[nibble as usize] = Some(Node::leaf(rest.to_vec(), leaf_value));
+            }
+        }
     }
     Node::new(NodeKind::Branch { children, value })
 }
@@ -474,106 +557,72 @@ fn wrap_extension(prefix: &[u8], node: Arc<Node>) -> Arc<Node> {
     }
 }
 
-enum RemoveResult {
-    NotFound,
-    Removed(Option<Arc<Node>>),
-}
-
-fn remove_at(node: &Arc<Node>, path: &[u8]) -> RemoveResult {
-    match &node.kind {
-        NodeKind::Leaf {
-            path: leaf_path, ..
-        } => {
-            if leaf_path.as_slice() == path {
-                RemoveResult::Removed(None)
-            } else {
-                RemoveResult::NotFound
-            }
-        }
+/// Removes the entry at `path`, which must be present beneath the node in
+/// `slot`, restoring the canonical form (no extension above a leaf or
+/// extension, no branch with fewer than two entries). Returns `false` if
+/// that node held only the removed entry: the caller drops the slot.
+fn remove_at(slot: &mut Arc<Node>, path: &[u8]) -> bool {
+    if matches!(slot.kind, NodeKind::Leaf { .. }) {
+        return false; // the entry itself
+    }
+    match &mut Node::make_mut(slot).kind {
+        NodeKind::Leaf { .. } => unreachable!("checked above"),
         NodeKind::Extension {
             path: ext_path,
             child,
         } => {
-            let Some(rest) = path.strip_prefix(ext_path.as_slice()) else {
-                return RemoveResult::NotFound;
-            };
-            match remove_at(child, rest) {
-                RemoveResult::NotFound => RemoveResult::NotFound,
-                RemoveResult::Removed(None) => RemoveResult::Removed(None),
-                RemoveResult::Removed(Some(new_child)) => {
-                    RemoveResult::Removed(Some(merge_extension(ext_path, new_child)))
-                }
+            let kept = remove_at(child, &path[ext_path.len()..]);
+            debug_assert!(kept, "an extension's branch keeps an entry");
+            if !matches!(child.kind, NodeKind::Branch { .. }) {
+                // The branch collapsed: its leaf or extension absorbs the
+                // prefix. The child is unique (the removal just updated
+                // it), and stays so once the extension is dropped.
+                prepend_path(child, ext_path);
+                *slot = Arc::clone(child);
             }
         }
         NodeKind::Branch { children, value } => {
-            let (new_children, new_value) = if path.is_empty() {
-                if value.is_none() {
-                    return RemoveResult::NotFound;
-                }
-                (children.clone(), None)
-            } else {
-                let nibble = path[0] as usize;
-                let Some(child) = &children[nibble] else {
-                    return RemoveResult::NotFound;
-                };
-                match remove_at(child, &path[1..]) {
-                    RemoveResult::NotFound => return RemoveResult::NotFound,
-                    RemoveResult::Removed(replacement) => {
-                        let mut cs = children.clone();
-                        cs[nibble] = replacement;
-                        (cs, value.clone())
+            match path.split_first() {
+                None => *value = None,
+                Some((&nibble, rest)) => {
+                    let child = &mut children[nibble as usize];
+                    if !remove_at(child.as_mut().expect("a found key's child"), rest) {
+                        *child = None;
                     }
                 }
-            };
-            RemoveResult::Removed(Some(collapse_branch(new_children, new_value)))
+            }
+            let mut populated = (0..16).filter(|&i| children[i].is_some());
+            match (populated.next(), populated.next()) {
+                (None, _) => {
+                    let value = value.take().expect("a branch keeps an entry");
+                    *slot = Node::leaf(Vec::new(), value);
+                }
+                (Some(nibble), None) if value.is_none() => {
+                    let mut only = children[nibble].take().expect("populated");
+                    if matches!(only.kind, NodeKind::Branch { .. }) {
+                        only = Node::new(NodeKind::Extension {
+                            path: vec![nibble as u8],
+                            child: only,
+                        });
+                    } else {
+                        prepend_path(&mut only, &[nibble as u8]);
+                    }
+                    *slot = only;
+                }
+                _ => {}
+            }
         }
     }
+    true
 }
 
-/// Re-attaches an extension prefix, merging chained extensions/leaves so the
-/// canonical-form invariants (no extension-of-extension, no empty branch)
-/// hold after a removal.
-fn merge_extension(prefix: &[u8], child: Arc<Node>) -> Arc<Node> {
-    match &child.kind {
-        NodeKind::Leaf { path, value } => {
-            let mut merged = prefix.to_vec();
-            merged.extend_from_slice(path);
-            Node::new(NodeKind::Leaf {
-                path: merged,
-                value: value.clone(),
-            })
+/// Prepends `prefix` to the path of the leaf or extension in `slot`.
+fn prepend_path(slot: &mut Arc<Node>, prefix: &[u8]) {
+    match &mut Node::make_mut(slot).kind {
+        NodeKind::Leaf { path, .. } | NodeKind::Extension { path, .. } => {
+            path.splice(0..0, prefix.iter().copied());
         }
-        NodeKind::Extension { path, child } => {
-            let mut merged = prefix.to_vec();
-            merged.extend_from_slice(path);
-            Node::new(NodeKind::Extension {
-                path: merged,
-                child: child.clone(),
-            })
-        }
-        NodeKind::Branch { .. } => Node::new(NodeKind::Extension {
-            path: prefix.to_vec(),
-            child,
-        }),
-    }
-}
-
-/// Normalizes a branch after a removal: a branch with a single remaining
-/// child (and no value) collapses into that child; one with only a value
-/// becomes a leaf.
-fn collapse_branch(children: [Option<Arc<Node>>; 16], value: Option<Vec<u8>>) -> Arc<Node> {
-    let populated: Vec<usize> = (0..16).filter(|&i| children[i].is_some()).collect();
-    match (populated.len(), &value) {
-        (0, Some(v)) => Node::new(NodeKind::Leaf {
-            path: Vec::new(),
-            value: v.clone(),
-        }),
-        (1, None) => {
-            let nibble = populated[0];
-            let child = children[nibble].clone().expect("populated index");
-            merge_extension(&[nibble as u8], child)
-        }
-        _ => Node::new(NodeKind::Branch { children, value }),
+        NodeKind::Branch { .. } => unreachable!("a branch takes an extension above it"),
     }
 }
 
@@ -737,10 +786,29 @@ mod tests {
         trie.root();
         assert!(trie.root_cached());
         assert_eq!(trie.dirty_top_subtrees(), 0);
-        // One more insert dirties exactly the touched path's subtree.
+        // One more insert into the hashed, unshared trie updates its path
+        // in place and dirties exactly the touched subtree.
         trie.insert(keccak256(&99u32.to_be_bytes()).as_bytes(), vec![9]);
         assert!(!trie.root_cached());
         assert_eq!(trie.dirty_top_subtrees(), 1);
+        // So do an in-place overwrite and an in-place removal.
+        trie.root();
+        trie.insert(keccak256(&7u32.to_be_bytes()).as_bytes(), vec![7]);
+        assert_eq!(trie.dirty_top_subtrees(), 1);
+        trie.root();
+        assert!(trie.remove(keccak256(&7u32.to_be_bytes()).as_bytes()));
+        assert_eq!(trie.dirty_top_subtrees(), 1);
+        // A removal that misses touches nothing.
+        let hashed = trie.root();
+        assert!(!trie.remove(keccak256(&1000u32.to_be_bytes()).as_bytes()));
+        assert!(trie.root_cached());
+        // Updating a shared trie copies the path and leaves the clone clean.
+        let clone = trie.clone();
+        trie.insert(keccak256(&100u32.to_be_bytes()).as_bytes(), vec![1]);
+        assert_eq!(trie.dirty_top_subtrees(), 1);
+        assert!(clone.root_cached());
+        assert_eq!(clone.dirty_top_subtrees(), 0);
+        assert_eq!(clone.root(), hashed);
     }
 
     #[test]

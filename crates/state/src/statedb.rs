@@ -15,16 +15,16 @@
 //!   `latest` onto it, so snapshot RAM stays O(recent writes) rather than
 //!   O(total state).
 //! - **Off-critical-path roots.** [`StateDb::commit_async`] applies the
-//!   block's structural trie updates (cheap: they build fresh unhashed
-//!   nodes) and returns a [`RootHandle`] immediately; the Keccak work —
-//!   the expensive part — runs on a background thread via
-//!   [`Mpt::root_parallel`], overlapping the next block's execution. The
-//!   handle stalls only a caller that demands the root before it
-//!   resolves, and records how long hashing took so callers can report
-//!   how much of it they hid.
+//!   block's structural trie updates (cheap: they only clear the cached
+//!   references on the touched paths) and returns a [`RootHandle`]
+//!   immediately; the Keccak work — the expensive part — runs on a
+//!   background thread via [`Mpt::root_parallel`], overlapping the next
+//!   block's execution. The handle stalls only a caller that demands the
+//!   root before it resolves, and records how long hashing took so
+//!   callers can report how much of it they hid.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use dmvcc_primitives::rlp::encode_bytes;
@@ -52,6 +52,9 @@ pub const DEFAULT_ROOT_WINDOW: usize = 1024;
 /// never blocks, and [`RootHandle::hash_nanos`] reports how long the
 /// hashing actually took once resolved — the latency a pipelined caller
 /// had the opportunity to hide.
+///
+/// If the hashing thread panics, the handle resolves as failed and every
+/// reader panics too, rather than blocking forever.
 #[derive(Debug, Clone)]
 pub struct RootHandle {
     slot: Arc<RootSlot>,
@@ -59,64 +62,115 @@ pub struct RootHandle {
 
 #[derive(Debug)]
 struct RootSlot {
-    /// `(root, hash_nanos)` once resolved.
-    state: Mutex<Option<(H256, u64)>>,
+    state: Mutex<RootState>,
     ready: Condvar,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RootState {
+    Pending,
+    /// The root and how long hashing it took.
+    Ready(H256, u64),
+    /// The hashing thread unwound before producing the root.
+    Failed,
 }
 
 impl RootHandle {
     /// A handle that is already resolved (synchronous commits).
     pub fn ready(root: H256) -> Self {
-        RootHandle {
-            slot: Arc::new(RootSlot {
-                state: Mutex::new(Some((root, 0))),
-                ready: Condvar::new(),
-            }),
-        }
+        Self::with_state(RootState::Ready(root, 0))
     }
 
     fn pending() -> Self {
+        Self::with_state(RootState::Pending)
+    }
+
+    fn with_state(state: RootState) -> Self {
         RootHandle {
             slot: Arc::new(RootSlot {
-                state: Mutex::new(None),
+                state: Mutex::new(state),
                 ready: Condvar::new(),
             }),
         }
     }
 
-    fn fulfill(&self, root: H256, hash_nanos: u64) {
+    /// Resolves a pending handle; a resolved one keeps its outcome.
+    fn settle(&self, outcome: RootState) {
+        // Every update is one assignment, so a poisoned slot is still
+        // valid; this also runs from a drop during unwinding.
+        let mut state = self
+            .slot
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if matches!(*state, RootState::Pending) {
+            *state = outcome;
+            self.slot.ready.notify_all();
+        }
+    }
+
+    /// `(root, hash_nanos)` once resolved, first waiting for it if `block`.
+    fn outcome(&self, block: bool) -> Option<(H256, u64)> {
         let mut state = self.slot.state.lock().expect("root slot poisoned");
-        *state = Some((root, hash_nanos));
-        self.slot.ready.notify_all();
+        while block && matches!(*state, RootState::Pending) {
+            state = self.slot.ready.wait(state).expect("root slot poisoned");
+        }
+        let outcome = *state;
+        // Release the slot first: panicking while holding it would poison
+        // it for every other reader.
+        drop(state);
+        match outcome {
+            RootState::Pending => None,
+            RootState::Ready(root, nanos) => Some((root, nanos)),
+            RootState::Failed => panic!("{HASHER_PANICKED}"),
+        }
     }
 
     /// The root if already resolved; never blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hashing thread panicked.
     pub fn try_root(&self) -> Option<H256> {
-        self.slot
-            .state
-            .lock()
-            .expect("root slot poisoned")
-            .map(|(root, _)| root)
+        self.outcome(false).map(|(root, _)| root)
     }
 
     /// Blocks until the background hash completes and returns the root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hashing thread panicked.
     pub fn wait(&self) -> H256 {
-        let mut state = self.slot.state.lock().expect("root slot poisoned");
-        while state.is_none() {
-            state = self.slot.ready.wait(state).expect("root slot poisoned");
-        }
-        state.expect("resolved").0
+        self.outcome(true).expect("resolved").0
     }
 
     /// Nanoseconds the background hashing took. Blocks like
     /// [`RootHandle::wait`] if not yet resolved; `0` for handles created
     /// already-resolved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hashing thread panicked.
     pub fn hash_nanos(&self) -> u64 {
-        let mut state = self.slot.state.lock().expect("root slot poisoned");
-        while state.is_none() {
-            state = self.slot.ready.wait(state).expect("root slot poisoned");
-        }
-        state.expect("resolved").1
+        self.outcome(true).expect("resolved").1
+    }
+}
+
+const HASHER_PANICKED: &str = "state root unavailable: the root hashing thread panicked";
+
+/// The hashing thread's end of a pending [`RootHandle`]. Dropping it
+/// unfulfilled (the thread unwound) marks the handle failed.
+struct RootPromise(RootHandle);
+
+impl RootPromise {
+    fn fulfill(self, root: H256, hash_nanos: u64) {
+        self.0.settle(RootState::Ready(root, hash_nanos));
+    }
+}
+
+impl Drop for RootPromise {
+    fn drop(&mut self) {
+        self.0.settle(RootState::Failed);
     }
 }
 
@@ -397,21 +451,30 @@ impl StateDb {
     /// Equivalent to [`StateDb::commit`] root-for-root: both force the
     /// same shared node caches.
     ///
-    /// Back-to-back async commits are safe: the persistent trie is
-    /// cloned (O(1), `Arc`-shared) per commit, mutation never alters
-    /// existing nodes, and `OnceLock` hash caches tolerate concurrent
-    /// forcing.
+    /// Back-to-back async commits are safe: the hashing thread works on
+    /// an O(1) clone of the trie, and the trie updates in place only the
+    /// nodes no clone shares (shared nodes are copied on write), so the
+    /// version being hashed never changes; `OnceLock` hash caches
+    /// tolerate concurrent forcing. The thread drops its clone before it
+    /// resolves the handle, so the next block's updates, once the root
+    /// has resolved, find the trie unshared and run in place.
+    ///
+    /// If the hashing thread panics, the handle resolves as failed and
+    /// every reader of this root ([`RootHandle::wait`],
+    /// [`StateDb::root_at`], ...) panics instead of blocking.
     pub fn commit_async(&mut self, writes: &WriteSet) -> RootHandle {
         self.apply_writes(writes);
         let handle = RootHandle::pending();
         self.roots.push(handle.clone());
         let trie = self.trie.clone();
         let threads = self.hash_threads;
-        let fulfill = handle.clone();
+        let promise = RootPromise(handle.clone());
         std::thread::spawn(move || {
             let started = Instant::now();
             let root = trie.root_parallel(threads);
-            fulfill.fulfill(root, started.elapsed().as_nanos() as u64);
+            let hash_nanos = started.elapsed().as_nanos() as u64;
+            drop(trie);
+            promise.fulfill(root, hash_nanos);
         });
         handle
     }
@@ -553,6 +616,99 @@ mod tests {
         assert_eq!(db.root_at(1), Some(r1));
         assert_eq!(db.root_at(2), Some(r2));
         assert_eq!(db.root_at(3), Some(r3));
+    }
+
+    #[test]
+    fn async_commits_racing_the_hasher_match_sync_oracles() {
+        // Big enough that hashing a block overlaps the next commits, so
+        // updates meet nodes the hasher's clone still shares.
+        let genesis: Vec<(StateKey, U256)> =
+            (0..4000u64).map(|i| (key(i), U256::from(i + 1))).collect();
+        // Block `b` of lineage `lane`: overlapping keys, about one write
+        // in five a delete.
+        let block = |lane: u64, b: u64| -> WriteSet {
+            let mut seed = (lane << 32) ^ (b + 1);
+            (0..60)
+                .map(|_| {
+                    seed = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let k = (seed >> 33) % 5000;
+                    let v = if (seed >> 20).is_multiple_of(5) {
+                        0
+                    } else {
+                        seed >> 40
+                    };
+                    (key(k), U256::from(v))
+                })
+                .collect()
+        };
+        let oracle = |blocks: &[WriteSet]| -> Vec<H256> {
+            let mut db = StateDb::with_genesis(genesis.clone());
+            blocks.iter().map(|w| db.commit(w)).collect()
+        };
+
+        let (shared, apart) = (16u64, 18u64);
+        let mut a = StateDb::with_genesis(genesis.clone());
+        a.set_hash_threads(2);
+        let mut a_blocks = Vec::new();
+        let mut a_handles = Vec::new();
+        for b in 0..shared {
+            a_blocks.push(block(0, b));
+            a_handles.push(a.commit_async(&a_blocks[b as usize]));
+        }
+        // Cloned while hashing may still be in flight.
+        let mut b_db = a.clone();
+        let mut b_blocks = a_blocks.clone();
+        let mut b_handles = a_handles.clone();
+        for b in shared..shared + apart {
+            a_blocks.push(block(0, b));
+            a_handles.push(a.commit_async(&a_blocks[b as usize]));
+            b_blocks.push(block(1, b));
+            b_handles.push(b_db.commit_async(&b_blocks[b as usize]));
+        }
+        assert!(a_handles.len() >= 30);
+        for (name, db, blocks, handles) in [
+            ("a", &a, &a_blocks, &a_handles),
+            ("b", &b_db, &b_blocks, &b_handles),
+        ] {
+            let expected = oracle(blocks);
+            for (height, root) in expected.iter().enumerate() {
+                let height = height as u64 + 1;
+                assert_eq!(
+                    handles[height as usize - 1].wait(),
+                    *root,
+                    "{name} {height}"
+                );
+                assert_eq!(db.root_at(height), Some(*root), "{name} {height}");
+            }
+        }
+        assert_ne!(a.current_root(), b_db.current_root());
+    }
+
+    #[test]
+    fn panicked_hasher_fails_readers_instead_of_hanging() {
+        let handle = RootHandle::pending();
+        // The hashing thread unwinding drops its promise unfulfilled.
+        drop(RootPromise(handle.clone()));
+        let panic_message = |read: fn(&RootHandle)| {
+            let reader = handle.clone();
+            let panic = std::panic::catch_unwind(move || read(&reader))
+                .expect_err("a read must panic, not block");
+            panic.downcast::<String>().map(|m| *m).unwrap_or_default()
+        };
+        // Every reader gets the clear message: one panicking reader does
+        // not poison the slot for the next.
+        for _ in 0..2 {
+            assert_eq!(panic_message(|h| _ = h.wait()), HASHER_PANICKED);
+            assert_eq!(panic_message(|h| _ = h.hash_nanos()), HASHER_PANICKED);
+            assert_eq!(panic_message(|h| _ = h.try_root()), HASHER_PANICKED);
+        }
+        // A fulfilled promise is unaffected by its own drop.
+        let handle = RootHandle::pending();
+        RootPromise(handle.clone()).fulfill(H256::ZERO, 7);
+        assert_eq!(handle.wait(), H256::ZERO);
+        assert_eq!(handle.hash_nanos(), 7);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the Merkle Patricia Trie: model equivalence against
-//! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), and
-//! history independence of the root.
+//! a BTreeMap, canonical-form convergence (incremental ≡ rebuilt), history
+//! independence of the root, and structural sharing: updating one clone in
+//! place never changes another.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +24,81 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An operation on one of several live trie versions (`usize` picks the
+/// version, modulo how many exist).
+#[derive(Debug, Clone)]
+enum VersionOp {
+    Update(usize, Op),
+    /// Overwrite version `.1` with a clone of version `.0` (or push a new
+    /// version while there are fewer than four).
+    Clone(usize, usize),
+    Root(usize),
+    RootParallel(usize),
+}
+
+fn version_op_strategy() -> impl Strategy<Value = VersionOp> {
+    prop_oneof![
+        6 => (any::<usize>(), op_strategy()).prop_map(|(v, op)| VersionOp::Update(v, op)),
+        1 => (any::<usize>(), any::<usize>()).prop_map(|(from, to)| VersionOp::Clone(from, to)),
+        1 => any::<usize>().prop_map(VersionOp::Root),
+        1 => any::<usize>().prop_map(VersionOp::RootParallel),
+    ]
+}
+
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+fn rebuilt_root(model: &Model) -> dmvcc_primitives::H256 {
+    let mut rebuilt = Mpt::new();
+    for (k, v) in model {
+        rebuilt.insert(k, v.clone());
+    }
+    rebuilt.root()
+}
+
 proptest! {
+    #[test]
+    fn clones_survive_updates_to_each_other(
+        ops in prop::collection::vec(version_op_strategy(), 0..160),
+    ) {
+        let mut versions: Vec<(Mpt, Model)> = vec![(Mpt::new(), Model::new())];
+        for op in &ops {
+            let n = versions.len();
+            match op {
+                VersionOp::Update(v, Op::Insert(k, value)) => {
+                    let (trie, model) = &mut versions[v % n];
+                    trie.insert(k, value.clone());
+                    model.insert(k.clone(), value.clone());
+                }
+                VersionOp::Update(v, Op::Remove(k)) => {
+                    let (trie, model) = &mut versions[v % n];
+                    prop_assert_eq!(trie.remove(k), model.remove(k).is_some());
+                }
+                VersionOp::Clone(from, to) => {
+                    let copy = versions[from % n].clone();
+                    if n < 4 {
+                        versions.push(copy);
+                    } else {
+                        versions[to % n] = copy;
+                    }
+                }
+                VersionOp::Root(v) => {
+                    let (trie, model) = &versions[v % n];
+                    prop_assert_eq!(trie.root(), rebuilt_root(model));
+                }
+                VersionOp::RootParallel(v) => {
+                    let (trie, model) = &versions[v % n];
+                    prop_assert_eq!(trie.root_parallel(2), rebuilt_root(model));
+                }
+            }
+        }
+        for (trie, model) in &versions {
+            for (k, v) in model {
+                prop_assert_eq!(trie.get(k), Some(v.clone()));
+            }
+            prop_assert_eq!(trie.root(), rebuilt_root(model));
+        }
+    }
+
     #[test]
     fn matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 0..120)) {
         let mut trie = Mpt::new();
