@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use dmvcc_bench::env_usize;
+use dmvcc_bench::{env_usize, Lcg};
 use dmvcc_core::{recycle_spill, take_spill, ShardedSequences, DEFAULT_SHARDS};
 use dmvcc_primitives::{Address, U256};
 use dmvcc_state::{KeyInterner, StateKey};
@@ -49,20 +49,6 @@ struct HotPathReport {
     distinct_keys: usize,
     iterations: usize,
     points: Vec<HotPathPoint>,
-}
-
-/// Deterministic multiplicative congruential generator — enough entropy to
-/// defeat branch predictors without pulling `rand` into the hot loop.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
 }
 
 /// Builds `n` distinct storage keys spread over a handful of contracts —
@@ -100,7 +86,7 @@ fn bench_interning(keys: &[StateKey], iters: usize) -> HotPathPoint {
     let order: Vec<usize> = {
         let mut lcg = Lcg(0x5eed);
         (0..iters)
-            .map(|_| lcg.next() as usize % keys.len())
+            .map(|_| lcg.next_u64() as usize % keys.len())
             .collect()
     };
 
@@ -180,7 +166,7 @@ fn bench_batched_publish(
         (0..4096)
             .map(|_| {
                 (0..release_set)
-                    .map(|_| ids[lcg.next() as usize % ids.len()])
+                    .map(|_| ids[lcg.next_u64() as usize % ids.len()])
                     .collect()
             })
             .collect()

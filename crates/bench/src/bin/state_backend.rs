@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use dmvcc_bench::env_usize;
+use dmvcc_bench::{calibrate, env_usize, Lcg};
 use dmvcc_chain::{run_pipelined_chain, BackendKind, ChainConfig, ExecutorKind, SchedulerKind};
 use dmvcc_core::SchedulerPolicy;
 use dmvcc_primitives::{Address, U256};
@@ -89,47 +89,8 @@ struct StateBackendReport {
     overlap: Vec<OverlapPoint>,
 }
 
-/// Deterministic multiplicative congruential generator (same as hot_path).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
 fn account_key(i: u64) -> StateKey {
     StateKey::balance(Address::from_u64(1 + i))
-}
-
-/// ns/op of a fixed arithmetic loop. A per-run speed reference:
-/// noisy-neighbor or slower-CPU effects scale it and the read
-/// measurements together, so ratios against it are comparable across
-/// runs and hosts. Same floor estimator as the warm-read passes —
-/// per-slice minima across passes — so both sides of the ratio sit at
-/// their noise-free floors.
-fn calibrate() -> f64 {
-    const OPS_PER_SLICE: usize = 250_000;
-    const SLICES: usize = 16;
-    const PASSES: usize = 5;
-    let mut slice_min = [f64::INFINITY; SLICES];
-    for pass in 0..PASSES {
-        for (s, min) in slice_min.iter_mut().enumerate() {
-            let mut lcg = Lcg(0xca11b ^ (pass * SLICES + s) as u64);
-            let start = Instant::now();
-            let mut acc = 0u64;
-            for _ in 0..OPS_PER_SLICE {
-                acc = acc.wrapping_add(lcg.next());
-            }
-            black_box(acc);
-            *min = min.min(start.elapsed().as_nanos() as f64);
-        }
-    }
-    slice_min.iter().sum::<f64>() / (SLICES * OPS_PER_SLICE) as f64
 }
 
 /// Seeds `accounts` balance entries into `backend` in chunked batches at
@@ -162,7 +123,9 @@ fn bench_backend(
 
     let order: Vec<u64> = {
         let mut lcg = Lcg(0xc01d ^ accounts as u64);
-        (0..reads).map(|_| lcg.next() % accounts as u64).collect()
+        (0..reads)
+            .map(|_| lcg.next_u64() % accounts as u64)
+            .collect()
     };
 
     // Cold pass: every miss falls through the flat cache to the backend.
@@ -199,8 +162,8 @@ fn bench_backend(
     let mut lcg = Lcg(0xb10c ^ accounts as u64);
     let batch: WriteSet = (0..block_writes)
         .map(|_| {
-            let a = lcg.next() % accounts as u64;
-            (account_key(a), U256::from(lcg.next()))
+            let a = lcg.next_u64() % accounts as u64;
+            (account_key(a), U256::from(lcg.next_u64()))
         })
         .collect();
     let start = Instant::now();
@@ -242,9 +205,9 @@ fn bench_root(accounts: usize, dirty_writes: usize, threads: usize) -> RootPoint
     let mut lcg = Lcg(0xd1f7 ^ accounts as u64);
     let mut dirty = |trie: &mut Mpt| {
         for _ in 0..dirty_writes {
-            let a = lcg.next() % accounts as u64;
+            let a = lcg.next_u64() % accounts as u64;
             let key = account_key(a);
-            trie.insert(&key.to_bytes(), lcg.next().to_be_bytes().to_vec());
+            trie.insert(&key.to_bytes(), lcg.next_u64().to_be_bytes().to_vec());
         }
     };
     let mut time_root = |trie: &mut Mpt, threads: usize| {
@@ -270,8 +233,8 @@ fn bench_root(accounts: usize, dirty_writes: usize, threads: usize) -> RootPoint
     let batch: Vec<(StateKey, u64)> = (0..dirty_writes)
         .map(|_| {
             (
-                account_key(check_lcg.next() % accounts as u64),
-                check_lcg.next(),
+                account_key(check_lcg.next_u64() % accounts as u64),
+                check_lcg.next_u64(),
             )
         })
         .collect();

@@ -1,11 +1,12 @@
-//! Threaded scaling: wall-clock block throughput of the two executor
-//! generations at 1/2/4/8 worker threads.
+//! Threaded scaling: wall-clock block throughput of the threaded engines
+//! at 1/2/4/8 worker threads.
 //!
-//! The "before" series is [`GlobalLockParallelExecutor`] — one mutex over
-//! all access sequences, every publish a condvar broadcast. The "after"
-//! series is the sharded [`ParallelExecutor`] — per-shard locks, a reverse
-//! waiter index with targeted wakeups, and work-stealing ready deques.
-//! Both run the same prepared blocks on a realistic, a high-contention, a
+//! The `sharded` series is the predictive [`ParallelExecutor`] — per-shard
+//! locks, a reverse waiter index with targeted wakeups, and work-stealing
+//! ready deques; `hybrid` routes poorly-predicted transactions of the same
+//! engine optimistically, and `stm` is the Block-STM-style
+//! [`StmExecutor`]. All run the same prepared blocks on a realistic, a
+//! high-contention, a
 //! loop-heavy workload (dominated by summarizable credit loops, exercising
 //! bind-time loop unrolling), a call-heavy workload (dominated by
 //! cross-contract router/flash-mint/oracle chains, exercising bind-time
@@ -16,11 +17,13 @@
 //! before it is timed into the report (a wrong-but-fast executor scores
 //! zero).
 //!
-//! Every (executor, workload, threads) cell is measured under both
-//! ready-queue policies — `fifo` and `critical-path` — and each point
+//! Every predictive (executor, workload, threads) cell is measured under
+//! both ready-queue policies — `fifo` and `critical-path` — and each point
 //! carries the block DAG's critical-path gas, the implied speedup bound
 //! (total gas / critical-path gas), the observed rank inversions and the
-//! C-SAG refinement wall time.
+//! C-SAG refinement wall time. The report also records `calib_ns`, a
+//! pure-CPU reference loop timed in the same process, so a throughput can
+//! be compared across hosts as `tx_per_s × calib_ns`.
 //!
 //! Scale knobs: `DMVCC_BLOCKS` (default 3), `DMVCC_BLOCK_SIZE` (default
 //! 200). Writes `bench-results/threaded_scaling.json`.
@@ -32,8 +35,8 @@ use serde::Serialize;
 use dmvcc_analysis::Analyzer;
 use dmvcc_bench::env_usize;
 use dmvcc_core::{
-    execute_block_serial, GlobalLockParallelExecutor, HybridExecutor, ParallelConfig,
-    ParallelExecutor, ParallelOutcome, SchedulerPolicy, StmExecutor,
+    execute_block_serial, HybridExecutor, ParallelConfig, ParallelExecutor, ParallelOutcome,
+    SchedulerPolicy, StmExecutor,
 };
 use dmvcc_state::{Snapshot, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -61,7 +64,6 @@ struct ScalingPoint {
     publishes: u64,
     targeted_wakeups: u64,
     wakeups_avoided: u64,
-    broadcast_wakeups: u64,
     steals: u64,
     parks: u64,
     symbolic_bindings: u64,
@@ -80,8 +82,7 @@ struct ScalingPoint {
     /// (transfers, which need none of these, are excluded from the
     /// denominator).
     symbolic_hit_rate: f64,
-    /// Wakeups issued per committed transaction: broadcasts for the
-    /// global-lock executor, targeted signals for the sharded one.
+    /// Targeted wakeups issued per committed transaction.
     wakeups_per_commit: f64,
     /// Gas on the longest dependency chain, summed over the blocks.
     critical_path_gas: u64,
@@ -97,7 +98,7 @@ struct ScalingPoint {
     /// allocations (shard tables, per-tx states, touched/published sets).
     alloc_bytes_saved: u64,
     /// Shard mutex acquisitions across the measured blocks (sharded
-    /// executor only; zero for the global-lock executor).
+    /// executor only).
     shard_lock_acquisitions: u64,
     /// Grouped release/drop publishes — `publishes / publish_batches` is
     /// the per-lock amortization factor.
@@ -128,8 +129,12 @@ struct ScalingReport {
     blocks: usize,
     block_size: usize,
     host_threads: usize,
-    before: Vec<ScalingPoint>,
-    after: Vec<ScalingPoint>,
+    /// ns/op of a pure-CPU reference loop measured in this process; the CI
+    /// hot-path gate compares `tx_per_s × calib_ns`, so host speed divides
+    /// out.
+    calib_ns: f64,
+    /// The sharded predictive executor.
+    sharded: Vec<ScalingPoint>,
     /// The Block-STM-style optimistic executor (no predictions consumed;
     /// ready-queue policy does not apply, so one cell per thread count).
     stm: Vec<ScalingPoint>,
@@ -172,7 +177,7 @@ fn measure(
     run: impl Fn(&Block) -> ParallelOutcome,
 ) -> ScalingPoint {
     // One warmup pass (untimed) so allocator and page-cache effects hit
-    // both series equally.
+    // every series equally.
     for block in blocks {
         let outcome = run(block);
         assert_eq!(
@@ -206,7 +211,6 @@ fn measure(
         stats.publishes += outcome.stats.publishes;
         stats.targeted_wakeups += outcome.stats.targeted_wakeups;
         stats.wakeups_avoided += outcome.stats.wakeups_avoided;
-        stats.broadcast_wakeups += outcome.stats.broadcast_wakeups;
         stats.steals += outcome.stats.steals;
         stats.parks += outcome.stats.parks;
         stats.symbolic_bindings += outcome.stats.symbolic_bindings;
@@ -228,11 +232,6 @@ fn measure(
     }
     let wall_secs = start.elapsed().as_secs_f64().min(best);
     let wall_ms = wall_secs * 1e3;
-    let wakeups = if stats.broadcast_wakeups > 0 {
-        stats.broadcast_wakeups
-    } else {
-        stats.targeted_wakeups
-    };
     ScalingPoint {
         executor,
         workload,
@@ -245,7 +244,6 @@ fn measure(
         publishes: stats.publishes,
         targeted_wakeups: stats.targeted_wakeups,
         wakeups_avoided: stats.wakeups_avoided,
-        broadcast_wakeups: stats.broadcast_wakeups,
         steals: stats.steals,
         parks: stats.parks,
         symbolic_bindings: stats.symbolic_bindings,
@@ -264,7 +262,7 @@ fn measure(
                 + stats.bounded_dynamic_bindings
                 + stats.speculative_fallbacks)
                 .max(1) as f64,
-        wakeups_per_commit: wakeups as f64 / txs.max(1) as f64,
+        wakeups_per_commit: stats.targeted_wakeups as f64 / txs.max(1) as f64,
         critical_path_gas: stats.critical_path_gas,
         speedup_bound: stats.predicted_gas as f64 / stats.critical_path_gas.max(1) as f64,
         rank_inversions: stats.rank_inversions,
@@ -278,15 +276,34 @@ fn measure(
     }
 }
 
+/// One table row of the progress output.
+fn print_row(point: &ScalingPoint) {
+    println!(
+        "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
+        point.executor,
+        point.workload,
+        point.scheduler,
+        point.threads,
+        point.wall_ms,
+        point.tx_per_s,
+        point.aborts,
+        point.rank_inversions,
+        point.speedup_bound,
+        point.symbolic_hit_rate * 100.0
+    );
+}
+
 fn main() {
     let blocks = env_usize("DMVCC_BLOCKS", 3);
     let block_size = env_usize("DMVCC_BLOCK_SIZE", 200);
+    let calib_ns = dmvcc_bench::calibrate();
+    println!("calibration: {calib_ns:.3} ns/op (pure-CPU reference loop)");
     let mut report = ScalingReport {
         blocks,
         block_size,
         host_threads: std::thread::available_parallelism().map_or(0, |n| n.get()),
-        before: Vec::new(),
-        after: Vec::new(),
+        calib_ns,
+        sharded: Vec::new(),
         stm: Vec::new(),
         hybrid: Vec::new(),
         summary_cache: Vec::new(),
@@ -321,58 +338,17 @@ fn main() {
                     scheduler: policy,
                     pin_cores: false,
                 };
-                let global = GlobalLockParallelExecutor::new(analyzer.clone(), config);
                 let sharded = ParallelExecutor::new(analyzer.clone(), config);
-                for (label, point) in [
-                    (
-                        "global-lock",
-                        measure(name, "global-lock", policy.label(), threads, &chain, |b| {
-                            global.execute_block(&b.txs, &b.snapshot, &b.env)
-                        }),
-                    ),
-                    (
-                        "sharded",
-                        measure(name, "sharded", policy.label(), threads, &chain, |b| {
-                            sharded.execute_block(&b.txs, &b.snapshot, &b.env)
-                        }),
-                    ),
-                ] {
-                    println!(
-                        "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                        label,
-                        name,
-                        point.scheduler,
-                        threads,
-                        point.wall_ms,
-                        point.tx_per_s,
-                        point.aborts,
-                        point.rank_inversions,
-                        point.speedup_bound,
-                        point.symbolic_hit_rate * 100.0
-                    );
-                    if label == "global-lock" {
-                        report.before.push(point);
-                    } else {
-                        report.after.push(point);
-                    }
-                }
+                let point = measure(name, "sharded", policy.label(), threads, &chain, |b| {
+                    sharded.execute_block(&b.txs, &b.snapshot, &b.env)
+                });
+                print_row(&point);
+                report.sharded.push(point);
                 let hybrid = HybridExecutor::new(analyzer.clone(), config);
                 let point = measure(name, "hybrid", policy.label(), threads, &chain, |b| {
                     hybrid.execute_block(&b.txs, &b.snapshot, &b.env)
                 });
-                println!(
-                    "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                    "hybrid",
-                    name,
-                    point.scheduler,
-                    threads,
-                    point.wall_ms,
-                    point.tx_per_s,
-                    point.aborts,
-                    point.rank_inversions,
-                    point.speedup_bound,
-                    point.symbolic_hit_rate * 100.0
-                );
+                print_row(&point);
                 report.hybrid.push(point);
             }
             // The STM executor consumes no predictions, so the ready-queue
@@ -387,19 +363,7 @@ fn main() {
             let point = measure(name, "stm", "optimistic", threads, &chain, |b| {
                 stm.execute_block(&b.txs, &b.snapshot, &b.env)
             });
-            println!(
-                "{:<12} {:<16} {:<14} {:>7} {:>10.2} {:>10.0} {:>8} {:>8} {:>6.1}x {:>6.0}%",
-                "stm",
-                name,
-                point.scheduler,
-                threads,
-                point.wall_ms,
-                point.tx_per_s,
-                point.aborts,
-                point.rank_inversions,
-                point.speedup_bound,
-                point.symbolic_hit_rate * 100.0
-            );
+            print_row(&point);
             report.stm.push(point);
         }
         report.summary_cache.push(WorkloadCacheTraffic {
@@ -411,35 +375,19 @@ fn main() {
 
     // Hot-path memory-layout counters for the sharded executor: recycled
     // block-arena bytes, shard-lock traffic and publish amortization.
-    let saved: u64 = report.after.iter().map(|p| p.alloc_bytes_saved).sum();
-    let locks: u64 = report.after.iter().map(|p| p.shard_lock_acquisitions).sum();
-    let publishes: u64 = report.after.iter().map(|p| p.publishes).sum();
-    let batches: u64 = report.after.iter().map(|p| p.publish_batches).sum();
+    let saved: u64 = report.sharded.iter().map(|p| p.alloc_bytes_saved).sum();
+    let locks: u64 = report
+        .sharded
+        .iter()
+        .map(|p| p.shard_lock_acquisitions)
+        .sum();
+    let publishes: u64 = report.sharded.iter().map(|p| p.publishes).sum();
+    let batches: u64 = report.sharded.iter().map(|p| p.publish_batches).sum();
     println!(
         "\nsharded hot path: {:.1} MiB served from recycled arenas, \
          {locks} shard-lock acquisitions, {:.2} publishes per batch",
         saved as f64 / (1 << 20) as f64,
         publishes as f64 / batches.max(1) as f64
-    );
-
-    // The targeted-wakeup design must do strictly less waking per commit
-    // than condvar broadcasts under contention.
-    let hot_wakeups = |points: &[ScalingPoint]| {
-        points
-            .iter()
-            .filter(|p| p.workload == "high-contention" && p.threads >= 4)
-            .map(|p| p.wakeups_per_commit)
-            .fold(0.0f64, f64::max)
-    };
-    let before_hot = hot_wakeups(&report.before);
-    let after_hot = hot_wakeups(&report.after);
-    println!(
-        "\nhigh-contention wakeups/commit (worst at >=4 threads): \
-         global-lock {before_hot:.2} vs sharded {after_hot:.2}"
-    );
-    assert!(
-        after_hot <= before_hot,
-        "targeted wakeups should not exceed broadcasts per commit"
     );
 
     // Rank-ordered dispatch must hold its own against FIFO where it
@@ -465,8 +413,8 @@ fn main() {
             .map(|p| p.tx_per_s)
             .fold(0.0f64, f64::max)
     };
-    let fifo_hot = hot_tx_per_s(&report.after, "fifo");
-    let cp_hot = hot_tx_per_s(&report.after, "critical-path");
+    let fifo_hot = hot_tx_per_s(&report.sharded, "fifo");
+    let cp_hot = hot_tx_per_s(&report.sharded, "critical-path");
     println!(
         "high-contention tx/s (best at parallel-capable threads, sharded): \
          fifo {fifo_hot:.0} vs critical-path {cp_hot:.0}"
@@ -492,7 +440,7 @@ fn main() {
         .iter()
         .filter(|p| p.workload == "realistic" && gated(p.threads))
     {
-        let sharded_point = report.after.iter().find(|p| {
+        let sharded_point = report.sharded.iter().find(|p| {
             p.workload == "realistic"
                 && p.threads == hybrid_point.threads
                 && p.scheduler == hybrid_point.scheduler
@@ -518,7 +466,7 @@ fn main() {
 
     // Loop summarization must carry the loop-heavy workload: speculative
     // pre-execution is the exception there, not the rule.
-    for point in report.after.iter().filter(|p| p.workload == "loop-heavy") {
+    for point in report.sharded.iter().filter(|p| p.workload == "loop-heavy") {
         let refinements = point.symbolic_bindings
             + point.loop_summarized_bindings
             + point.interprocedural_bindings
@@ -539,7 +487,7 @@ fn main() {
     // Interprocedural summaries must carry the call-heavy workload the
     // same way: the cross-contract chains bind from composed templates,
     // not via speculative pre-execution.
-    for point in report.after.iter().filter(|p| p.workload == "call-heavy") {
+    for point in report.sharded.iter().filter(|p| p.workload == "call-heavy") {
         let refinements = point.symbolic_bindings
             + point.loop_summarized_bindings
             + point.interprocedural_bindings
@@ -564,7 +512,7 @@ fn main() {
     // call tier or fell back to speculation — of which >=90% must bind
     // non-speculatively.
     for point in report
-        .after
+        .sharded
         .iter()
         .filter(|p| p.workload == "nft-mint-rush")
     {

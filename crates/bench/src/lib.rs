@@ -230,6 +230,45 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Deterministic multiplicative congruential generator — enough entropy to
+/// defeat branch predictors without pulling `rand` into a hot loop.
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    /// The next pseudo-random value (the state's high 31 bits).
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+}
+
+/// ns/op of a fixed arithmetic loop. A per-run speed reference:
+/// noisy-neighbor or slower-CPU effects scale it and the measurements
+/// together, so ratios against it are comparable across runs and hosts.
+/// Per-slice minima across passes, so it sits at its noise-free floor.
+pub fn calibrate() -> f64 {
+    const OPS_PER_SLICE: usize = 250_000;
+    const SLICES: usize = 16;
+    const PASSES: usize = 5;
+    let mut slice_min = [f64::INFINITY; SLICES];
+    for pass in 0..PASSES {
+        for (s, min) in slice_min.iter_mut().enumerate() {
+            let mut lcg = Lcg(0xca11b ^ (pass * SLICES + s) as u64);
+            let start = std::time::Instant::now();
+            let mut acc = 0u64;
+            for _ in 0..OPS_PER_SLICE {
+                acc = acc.wrapping_add(lcg.next_u64());
+            }
+            std::hint::black_box(acc);
+            *min = min.min(start.elapsed().as_nanos() as f64);
+        }
+    }
+    slice_min.iter().sum::<f64>() / (SLICES * OPS_PER_SLICE) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

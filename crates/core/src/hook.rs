@@ -1,10 +1,9 @@
 //! Scheduler hooks: the observation and perturbation surface of the
 //! threaded executors.
 //!
-//! Both [`crate::ParallelExecutor`] and
-//! [`crate::GlobalLockParallelExecutor`] consult an optional
-//! [`SchedHook`] at every scheduling decision point — dequeue, publish,
-//! park/wake, abort, commit, the shard critical section, and the
+//! Both [`crate::ParallelExecutor`] and [`crate::StmExecutor`] consult an
+//! optional [`SchedHook`] at every scheduling decision point — dequeue,
+//! publish, park/wake, abort, commit, the shard critical section, and the
 //! release-point gate. Production runs install no hook: every call site is
 //! an `Option` that is `None`, so the disabled path costs one predicted
 //! branch and no virtual dispatch.
@@ -33,9 +32,9 @@
 //! there is the documented way to force shard-lock contention. In the
 //! sharded executor every other `on_*` call site is outside the executor's
 //! locks (publishes and parks stage their effects first), so a slow hook
-//! costs latency, not progress. The global-lock executor by contrast calls
-//! most hooks under its one mutex — a stalling hook serializes it, which
-//! matches the contention profile that executor exists to model.
+//! costs latency, not progress. The STM executor calls `on_validate` and
+//! the commit-turn `on_commit` under its commit lock (see
+//! [`SchedHook::on_validate`]).
 
 use dmvcc_state::StateKey;
 
@@ -151,5 +150,60 @@ mod tests {
         hook.on_shard_lock(3);
         hook.on_stm_read(0, &key, true);
         hook.on_validate(0, 1, false);
+    }
+}
+
+/// Test support shared by the engines' worker-panic tests.
+#[cfg(test)]
+pub(crate) mod panic_probe {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use super::SchedHook;
+
+    /// The payload [`PanicOnDequeue`] panics with.
+    pub(crate) const MESSAGE: &str = "injected worker panic";
+
+    /// Panics the first time a worker dequeues transaction `tx`.
+    #[derive(Debug)]
+    pub(crate) struct PanicOnDequeue {
+        tx: usize,
+        fired: AtomicBool,
+    }
+
+    impl PanicOnDequeue {
+        pub(crate) fn new(tx: usize) -> Self {
+            PanicOnDequeue {
+                tx,
+                fired: AtomicBool::new(false),
+            }
+        }
+    }
+
+    impl SchedHook for PanicOnDequeue {
+        fn on_dequeue(&self, tx: usize, _attempt: u32) {
+            if tx == self.tx && !self.fired.swap(true, Ordering::SeqCst) {
+                panic!("{MESSAGE}");
+            }
+        }
+    }
+
+    /// Runs `block` on its own thread and returns its panic message. A
+    /// watchdog turns a hang into a test failure after ten seconds (the
+    /// hung thread is leaked), and a block that returns normally fails too.
+    pub(crate) fn panic_message(block: impl FnOnce() + Send + 'static) -> String {
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = catch_unwind(AssertUnwindSafe(block)).err();
+            let message = payload.map(|p| p.downcast::<String>().map(|m| *m).unwrap_or_default());
+            let _ = done.send(message);
+        });
+        match result.recv_timeout(Duration::from_secs(10)) {
+            Ok(Some(message)) => message,
+            Ok(None) => panic!("the block finished despite a worker panic"),
+            Err(_) => panic!("the block hung after a worker panic"),
+        }
     }
 }

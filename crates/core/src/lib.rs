@@ -15,12 +15,11 @@
 //!   Algorithms 1–4 over [`ShardedSequences`] (per-shard locks, a reverse
 //!   waiter index for targeted wakeups, and a work-stealing ready queue),
 //!   validated against the serial state root.
-//! - [`GlobalLockParallelExecutor`]: the first-generation executor (one
-//!   global mutex plus condvar broadcasts), kept as a differential-testing
-//!   partner and as the "before" side of the scaling benchmarks.
 //! - [`StmExecutor`]: a Block-STM-style optimistic executor (multi-version
 //!   map over interned keys, optimistic execution, value-based validation
-//!   in serial order) that needs no access predictions at all, plus
+//!   in serial order) that needs no access predictions at all — an
+//!   independent implementation sharing neither the access sequences nor
+//!   the shards, which makes it the differential-testing partner — plus
 //!   [`HybridExecutor`], which routes well-predicted transactions through
 //!   the sharded predictive engine and strips the predictions of
 //!   speculative/unanalyzable ones so they run optimistically inside the
@@ -62,7 +61,6 @@ mod arena;
 mod hook;
 mod oracle;
 mod parallel;
-mod parallel_global;
 mod parallel_stm;
 mod pipeline;
 mod rank;
@@ -79,7 +77,6 @@ pub use arena::{recycle_spill, spill_pool_len, take_spill, IdSet, SmallMap};
 pub use hook::{NoopHook, SchedHook};
 pub use oracle::{build_csags, execute_block_serial, BlockTrace, ReadRecord, TxTrace};
 pub use parallel::{ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
-pub use parallel_global::GlobalLockParallelExecutor;
 pub use parallel_stm::{HybridExecutor, StmExecutor};
 pub use pipeline::{refine_csags, BlockPipeline, PipelineStats};
 pub use rank::{BlockDag, SchedulerPolicy, TxRank, NUM_LANES};

@@ -7,10 +7,9 @@
 //! points (Algorithm 2) via write versioning (Algorithm 3), and abort and
 //! re-execute stale readers with cascades (Algorithm 4).
 //!
-//! This is the second-generation executor. The first generation — kept as
-//! [`crate::GlobalLockParallelExecutor`] — funnels every sequence access
-//! through one mutex and wakes every sleeper on every publish. Here the
-//! synchronization is decomposed along the state it actually protects:
+//! Rather than funnel every sequence access through one mutex and wake
+//! every sleeper on every publish, the synchronization is decomposed along
+//! the state it actually protects:
 //!
 //! - **Sharded sequences** ([`crate::ShardedSequences`]): access sequences
 //!   live in hash-addressed shards, each behind its own lock, so
@@ -31,7 +30,9 @@
 //! transaction core lock at a time, and never acquires one kind while
 //! holding the other (effects are staged and applied after unlocking).
 //! Every timed wait carries a timeout backstop, so a missed wakeup costs
-//! latency, never progress.
+//! latency, never progress. A worker that panics flags the block abandoned
+//! as it unwinds, and every wait loop checks that flag, so the panic fails
+//! the block instead of hanging it.
 //!
 //! Correctness oracle: for any interleaving, the committed write set equals
 //! the serial execution's (Theorem 1) — integration tests compare Merkle
@@ -115,11 +116,9 @@ pub struct ExecutorStats {
     pub publishes: u64,
     /// Waiters signaled individually through the reverse waiter index.
     pub targeted_wakeups: u64,
-    /// Publishes that found no waiter on the key — each one is a
-    /// `notify_all` the global-lock executor would have issued for nothing.
+    /// Publishes that found no waiter on the key (and so signaled no
+    /// one).
     pub wakeups_avoided: u64,
-    /// Global condvar broadcasts (only the global-lock executor has these).
-    pub broadcast_wakeups: u64,
     /// Ready-queue entries obtained by stealing from another worker.
     pub steals: u64,
     /// Times a worker went to sleep (idle or blocked on a read).
@@ -200,7 +199,7 @@ impl ExecutorStats {
 /// Counts how each block C-SAG was refined, for [`ExecutorStats`]:
 /// `(symbolic, loop_summarized, interprocedural, bounded_dynamic,
 /// speculative)`.
-pub(crate) fn tier_counts(csags: &[CSag]) -> (u64, u64, u64, u64, u64) {
+fn tier_counts(csags: &[CSag]) -> (u64, u64, u64, u64, u64) {
     use dmvcc_analysis::RefinementTier;
     let count = |tier: RefinementTier| csags.iter().filter(|c| c.tier == tier).count() as u64;
     (
@@ -226,7 +225,7 @@ pub struct ParallelOutcome {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
+enum Phase {
     /// Not yet ready: some predicted read is unavailable.
     Waiting,
     /// In the ready queue.
@@ -263,6 +262,19 @@ impl Event {
         let mut epoch = self.epoch.lock();
         if *epoch == seen {
             self.cond.wait_for(&mut epoch, timeout);
+        }
+    }
+}
+
+/// Runs its closure if dropped while the thread unwinds from a panic: a
+/// worker's guard that gives the block up instead of leaving the other
+/// workers waiting for it.
+pub(crate) struct OnUnwind<F: Fn()>(pub(crate) F);
+
+impl<F: Fn()> Drop for OnUnwind<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
         }
     }
 }
@@ -332,7 +344,6 @@ impl AtomicStats {
             publishes: self.publishes.load(Ordering::Relaxed),
             targeted_wakeups: self.targeted_wakeups.load(Ordering::Relaxed),
             wakeups_avoided: self.wakeups_avoided.load(Ordering::Relaxed),
-            broadcast_wakeups: 0,
             steals: self.steals.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             symbolic_bindings: 0,        // filled from the C-SAGs by the caller
@@ -391,6 +402,9 @@ struct Shared<'a> {
     /// Parked idle workers wait here; signaled when work is admitted or
     /// the block completes.
     idle_event: Event,
+    /// Set when a worker panicked: the block will never finish, so every
+    /// wait loop returns instead and the panic reaches the caller.
+    abandoned: AtomicBool,
     snapshot: &'a Snapshot,
     csags: &'a [CSag],
     /// Interned per-transaction metadata (reads, publishable pcs, release
@@ -409,6 +423,16 @@ impl Shared<'_> {
     #[inline]
     fn hook(&self) -> Option<&dyn SchedHook> {
         self.hook.as_deref()
+    }
+
+    /// Gives the block up after a worker panic: flags it and wakes every
+    /// sleeper so the surviving workers notice and return.
+    fn abandon(&self) {
+        self.abandoned.store(true, Ordering::Relaxed);
+        self.idle_event.signal();
+        for state in &self.states {
+            state.event.signal();
+        }
     }
 
     fn generation_of(&self, tx: usize) -> u32 {
@@ -916,6 +940,9 @@ impl Host for ThreadHost<'_, '_> {
                 .event
                 .wait_while(seen_epoch, BLOCKED_PARK);
             self.shared.blocked.fetch_sub(1, Ordering::SeqCst);
+            if self.shared.abandoned.load(Ordering::Relaxed) {
+                return Err(HostError::Aborted);
+            }
             if self.shared.states[self.tx].event.epoch() == seen_epoch {
                 stuck_parks += 1;
             } else {
@@ -1082,20 +1109,16 @@ impl ParallelExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let refine_start = std::time::Instant::now();
-        let hits_before = self.analyzer.registry().summaries().hits();
-        let csags = crate::pipeline::refine_csags(
+        let (csags, refine_nanos, summary_cache_hits) = crate::pipeline::refine_timed(
             &self.analyzer,
             txs,
             snapshot,
             block_env,
             self.config.threads,
         );
-        let refine_nanos = refine_start.elapsed().as_nanos() as u64;
-        let summary_hits = self.analyzer.registry().summaries().hits() - hits_before;
         let mut outcome = self.execute_block_with_csags(txs, snapshot, block_env, &csags);
         outcome.stats.refine_nanos = refine_nanos;
-        outcome.stats.summary_cache_hits = summary_hits;
+        outcome.stats.summary_cache_hits = summary_cache_hits;
         outcome
     }
 
@@ -1266,6 +1289,7 @@ impl ParallelExecutor {
             aborts: AtomicU64::new(0),
             stats: AtomicStats::default(),
             idle_event: Event::default(),
+            abandoned: AtomicBool::new(false),
             snapshot,
             csags,
             metas,
@@ -1284,14 +1308,24 @@ impl ParallelExecutor {
             .unwrap_or(1);
         let pin = self.config.pin_cores;
         std::thread::scope(|scope| {
-            for (index, local) in workers.into_iter().enumerate() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    if pin {
-                        crate::affinity::pin_current_thread(index % cores);
-                    }
-                    self.worker(shared, block_env, local, index)
-                });
+            let handles: Vec<_> = workers
+                .into_iter()
+                .enumerate()
+                .map(|(index, local)| {
+                    let shared = &shared;
+                    scope.spawn(move || {
+                        if pin {
+                            crate::affinity::pin_current_thread(index % cores);
+                        }
+                        self.worker(shared, block_env, local, index)
+                    })
+                })
+                .collect();
+            // A worker panic fails the block with the worker's own payload.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
 
@@ -1386,9 +1420,13 @@ impl ParallelExecutor {
         index: usize,
     ) {
         let n = shared.txs.len();
+        let _guard = OnUnwind(|| shared.abandon());
         loop {
             if shared.finished.load(Ordering::SeqCst) == n {
                 shared.idle_event.signal();
+                return;
+            }
+            if shared.abandoned.load(Ordering::Relaxed) {
                 return;
             }
             if let Some((tx, generation, lane)) = self.next_entry(shared, &local, index) {
@@ -1904,13 +1942,12 @@ mod tests {
         // abort.
         assert!(outcome.stats.attempts >= txs.len() as u64);
         assert!(outcome.stats.publishes > 0);
-        // The sharded executor never broadcasts.
-        assert_eq!(outcome.stats.broadcast_wakeups, 0);
     }
 
     #[test]
-    fn matches_global_lock_executor() {
-        // Differential test between the two executor generations.
+    fn matches_stm_executor() {
+        // Differential test against the optimistic engine, which shares
+        // neither the access sequences nor the shards with this one.
         let txs: Vec<_> = (0..12)
             .map(|i| {
                 if i % 3 == 0 {
@@ -1921,7 +1958,7 @@ mod tests {
             })
             .collect();
         let sharded = executor(4).execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        let global = crate::GlobalLockParallelExecutor::new(
+        let stm = crate::StmExecutor::new(
             Analyzer::new(registry()),
             ParallelConfig {
                 threads: 4,
@@ -1931,8 +1968,29 @@ mod tests {
             },
         )
         .execute_block(&txs, &Snapshot::empty(), &BlockEnv::default());
-        assert_eq!(sharded.final_writes, global.final_writes);
-        assert_eq!(sharded.statuses, global.statuses);
+        assert_eq!(sharded.final_writes, stm.final_writes);
+        assert_eq!(sharded.statuses, stm.statuses);
+    }
+
+    #[test]
+    fn worker_panic_fails_the_block_instead_of_hanging() {
+        use crate::hook::panic_probe::{panic_message, PanicOnDequeue, MESSAGE};
+        let snapshot = Snapshot::from_entries(
+            (1..=16).map(|i| (StateKey::balance(Address::from_u64(i)), U256::from(100u64))),
+        );
+        let txs: Vec<Transaction> = (1..=16)
+            .map(|i| {
+                Transaction::transfer(Address::from_u64(i), Address::from_u64(i + 1), U256::ONE)
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let exec = executor(threads).with_hook(Arc::new(PanicOnDequeue::new(3)));
+            let (txs, snapshot) = (txs.clone(), snapshot.clone());
+            let message = panic_message(move || {
+                exec.execute_block(&txs, &snapshot, &BlockEnv::default());
+            });
+            assert_eq!(message, MESSAGE, "at {threads} threads");
+        }
     }
 
     #[test]

@@ -35,7 +35,10 @@
 //! Lock order: commit lock → transaction slot → map shard; the interner
 //! tail mutex is a leaf. Readers blocked on an `Estimate` spin-then-park
 //! on the progress event; the marker's owner is the commit-lock holder,
-//! which is actively re-executing, so the wait is bounded.
+//! which is actively re-executing, so the wait is bounded. A worker that
+//! panics flags the block abandoned as it unwinds; the estimate wait and
+//! the commit-tail wait both check that flag, so the panic fails the block
+//! instead of hanging it.
 //!
 //! [`HybridExecutor`] composes the two engines the way the paper's
 //! pool-desync discussion suggests: transactions whose C-SAGs bound
@@ -49,7 +52,7 @@
 //! interner, arenas and [`ExecutorStats`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,7 +66,9 @@ use dmvcc_analysis::{Analyzer, CSag, RefinementTier};
 
 use crate::arena::SmallMap;
 use crate::hook::SchedHook;
-use crate::parallel::{Event, ExecutorStats, ParallelConfig, ParallelExecutor, ParallelOutcome};
+use crate::parallel::{
+    Event, ExecutorStats, OnUnwind, ParallelConfig, ParallelExecutor, ParallelOutcome,
+};
 
 /// Shards of the multi-version map. Power of two so the id → shard map is
 /// a mask; comfortably more than the worker count so disjoint keys rarely
@@ -291,6 +296,9 @@ struct StmShared<'a> {
     committed: AtomicUsize,
     /// Signaled on every execution finish and every commit.
     progress: Event,
+    /// Set when a worker panicked: the block will never commit, so every
+    /// wait loop returns instead and the panic reaches the caller.
+    abandoned: AtomicBool,
     hook: Option<&'a Arc<dyn SchedHook>>,
     attempts: AtomicU64,
     publishes: AtomicU64,
@@ -304,8 +312,9 @@ impl StmShared<'_> {
     /// Resolves the external (non-own) component of a read, waiting out
     /// `Estimate` markers. The marker's owner is the commit-lock holder
     /// mid-re-execution, which never waits on this reader — so the spin
-    /// is deadlock-free and short.
-    fn resolve_external(&self, id: KeyId, key: &StateKey, reader: usize) -> U256 {
+    /// is deadlock-free and short. `None` once the block is abandoned (the
+    /// owner may have panicked mid-re-execution).
+    fn resolve_external(&self, id: KeyId, key: &StateKey, reader: usize) -> Option<U256> {
         let raw = id.index() as u32;
         let mut spins = 0u32;
         loop {
@@ -315,15 +324,18 @@ impl StmShared<'_> {
                     if let Some(hook) = self.hook {
                         hook.on_stm_read(reader, key, spins > 0);
                     }
-                    return value;
+                    return Some(value);
                 }
                 Resolution::BaseDelta(deltas) => {
                     if let Some(hook) = self.hook {
                         hook.on_stm_read(reader, key, spins > 0);
                     }
-                    return self.snapshot.get(key).wrapping_add(deltas);
+                    return Some(self.snapshot.get(key).wrapping_add(deltas));
                 }
                 Resolution::Blocked => {
+                    if self.abandoned.load(Ordering::Relaxed) {
+                        return None;
+                    }
                     spins += 1;
                     if spins <= ESTIMATE_SPINS {
                         std::thread::yield_now();
@@ -348,7 +360,7 @@ impl StmShared<'_> {
     fn validate(&self, tx: usize, reads: &[(KeyId, U256)]) -> bool {
         reads.iter().all(|&(id, expected)| {
             let key = self.interner.resolve(id);
-            self.resolve_external(id, &key, tx) == expected
+            self.resolve_external(id, &key, tx) == Some(expected)
         })
     }
 }
@@ -372,7 +384,9 @@ impl Host for StmHost<'_, '_> {
             let own = self.adds.get(id).unwrap_or(U256::ZERO);
             return Ok(v.wrapping_add(own));
         }
-        let external = self.shared.resolve_external(id, &key, self.tx);
+        let Some(external) = self.shared.resolve_external(id, &key, self.tx) else {
+            return Err(HostError::Aborted);
+        };
         self.reads.push((id, external));
         let own = self.adds.get(id).unwrap_or(U256::ZERO);
         Ok(external.wrapping_add(own))
@@ -457,13 +471,15 @@ fn execute_tx(shared: &StmShared<'_>, tx_index: usize) -> TxRun {
 fn run_transfer(host: &mut StmHost<'_, '_>, tx: &Transaction) -> ExecStatus {
     let from = StateKey::balance(tx.sender());
     let to = StateKey::balance(tx.to());
-    let balance = host.sload(from).expect("stm host never aborts");
+    let Ok(balance) = host.sload(from) else {
+        return ExecStatus::Interrupted; // block abandoned
+    };
     if balance < tx.env.value {
         return ExecStatus::Reverted;
     }
     host.sstore(from, balance - tx.env.value)
-        .expect("stm host never aborts");
-    host.sadd(to, tx.env.value).expect("stm host never aborts");
+        .expect("stm writes never fail");
+    host.sadd(to, tx.env.value).expect("stm writes never fail");
     ExecStatus::Success
 }
 
@@ -507,7 +523,7 @@ fn try_commit(shared: &StmShared<'_>) {
     let Some(mut next) = shared.commit_next.try_lock() else {
         return;
     };
-    while *next < n {
+    while *next < n && !shared.abandoned.load(Ordering::Relaxed) {
         let t = *next;
         let mut slot = shared.slots[t].lock();
         if slot.status.is_none() {
@@ -554,7 +570,14 @@ fn worker(shared: &StmShared<'_>, index: usize, pin_cores: bool) {
         crate::affinity::pin_current_thread(index % cores);
     }
     let n = shared.txs.len();
+    let _guard = OnUnwind(|| {
+        shared.abandoned.store(true, Ordering::Relaxed);
+        shared.progress.signal();
+    });
     loop {
+        if shared.abandoned.load(Ordering::Relaxed) {
+            return;
+        }
         try_commit(shared);
         if shared.committed.load(Ordering::Acquire) >= n {
             return;
@@ -706,6 +729,7 @@ impl StmExecutor {
             commit_next: Mutex::new(0),
             committed: AtomicUsize::new(0),
             progress: Event::default(),
+            abandoned: AtomicBool::new(false),
             hook: self.hook.as_ref(),
             attempts: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
@@ -716,12 +740,20 @@ impl StmExecutor {
         };
         let threads = self.config.threads.clamp(1, txs.len());
         std::thread::scope(|scope| {
-            for index in 1..threads {
-                let shared = &shared;
-                let pin = self.config.pin_cores;
-                scope.spawn(move || worker(shared, index, pin));
-            }
+            let handles: Vec<_> = (1..threads)
+                .map(|index| {
+                    let shared = &shared;
+                    let pin = self.config.pin_cores;
+                    scope.spawn(move || worker(shared, index, pin))
+                })
+                .collect();
             worker(&shared, 0, self.config.pin_cores);
+            // A worker panic fails the block with the worker's own payload.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
         debug_assert_eq!(shared.committed.load(Ordering::Acquire), txs.len());
 
@@ -821,24 +853,20 @@ impl HybridExecutor {
         snapshot: &Snapshot,
         block_env: &BlockEnv,
     ) -> ParallelOutcome {
-        let refine_start = std::time::Instant::now();
-        let hits_before = self.inner.analyzer().registry().summaries().hits();
-        let mut csags = crate::pipeline::refine_csags(
+        let (mut csags, refine_nanos, summary_cache_hits) = crate::pipeline::refine_timed(
             self.inner.analyzer(),
             txs,
             snapshot,
             block_env,
             self.inner.config().threads,
         );
-        let refine_nanos = refine_start.elapsed().as_nanos() as u64;
-        let summary_hits = self.inner.analyzer().registry().summaries().hits() - hits_before;
         let optimistic = Self::route_csags(&mut csags);
         let mut outcome = self
             .inner
             .execute_block_with_csags(txs, snapshot, block_env, &csags);
         outcome.stats.refine_nanos = refine_nanos;
         outcome.stats.optimistic_txs = optimistic;
-        outcome.stats.summary_cache_hits = summary_hits;
+        outcome.stats.summary_cache_hits = summary_cache_hits;
         outcome
     }
 
@@ -1016,6 +1044,28 @@ mod tests {
         assert!(routed[0].reads.is_empty() && routed[0].writes.is_empty());
         assert_eq!(routed[0].tier, RefinementTier::Optimistic);
         assert_eq!(routed[2].reads, exact.reads);
+    }
+
+    #[test]
+    fn worker_panic_fails_the_block_instead_of_hanging() {
+        use crate::hook::panic_probe::{panic_message, PanicOnDequeue, MESSAGE};
+        let txs: Vec<Transaction> = (1..=16).map(|i| transfer(i, i + 1, 1)).collect();
+        let snapshot = genesis(17, 100);
+        for threads in [1, 2, 4] {
+            let stm = StmExecutor::new(
+                Analyzer::new(CodeRegistry::default()),
+                ParallelConfig {
+                    threads,
+                    ..ParallelConfig::default()
+                },
+            )
+            .with_hook(Arc::new(PanicOnDequeue::new(3)));
+            let (txs, snapshot) = (txs.clone(), snapshot.clone());
+            let message = panic_message(move || {
+                stm.execute_block(&txs, &snapshot, &BlockEnv::default());
+            });
+            assert_eq!(message, MESSAGE, "at {threads} threads");
+        }
     }
 
     #[test]

@@ -82,6 +82,25 @@ pub fn refine_csags(
         .collect()
 }
 
+/// [`refine_csags`] plus what it cost: the C-SAGs, the wall-clock
+/// nanoseconds spent refining them, and the code-hash summary-memo hits
+/// the refinement scored. The one place refinement is timed, shared by
+/// every front end that refines a block itself.
+pub(crate) fn refine_timed(
+    analyzer: &Analyzer,
+    txs: &[Transaction],
+    snapshot: &Snapshot,
+    block_env: &BlockEnv,
+    threads: usize,
+) -> (Vec<CSag>, u64, u64) {
+    let start = Instant::now();
+    let hits_before = analyzer.registry().summaries().hits();
+    let csags = refine_csags(analyzer, txs, snapshot, block_env, threads);
+    let refine_nanos = start.elapsed().as_nanos() as u64;
+    let hits = analyzer.registry().summaries().hits() - hits_before;
+    (csags, refine_nanos, hits)
+}
+
 /// Wall-clock accounting of a pipelined run, for the refine-vs-execute
 /// overlap the stats surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -184,15 +203,14 @@ impl BlockPipeline {
 
         // Block 0 has nothing to overlap with: refine it up front.
         let analyzer = self.executor.analyzer();
-        let first_start = Instant::now();
-        let mut csags = refine_csags(
+        let (mut csags, first_nanos, _) = refine_timed(
             analyzer,
             &blocks[0],
             &snapshot,
             &env_of(0),
             self.refine_threads,
         );
-        stats.refine_nanos += first_start.elapsed().as_nanos() as u64;
+        stats.refine_nanos += first_nanos;
 
         for i in 0..blocks.len() {
             let env = env_of(i);
@@ -204,15 +222,14 @@ impl BlockPipeline {
                 let ahead = blocks.get(i + 1).map(|next_txs| {
                     let next_env = env_of(i + 1);
                     scope.spawn(move || {
-                        let start = Instant::now();
-                        let csags = refine_csags(
+                        let (csags, nanos, _) = refine_timed(
                             analyzer,
                             next_txs,
                             stale_snapshot,
                             &next_env,
                             self.refine_threads,
                         );
-                        (csags, start.elapsed().as_nanos() as u64)
+                        (csags, nanos)
                     })
                 });
                 let start = Instant::now();

@@ -90,7 +90,7 @@ impl BlockDag {
     /// predicts zero gas; its weight is clamped to the intrinsic cost so
     /// ranks stay strictly positive and lane math stays meaningful.
     pub fn build(csags: &[CSag]) -> BlockDag {
-        // Standalone entry point (global executor, tests): intern the
+        // Standalone entry point (callers without a block interner): intern the
         // block's keys locally so the sweep runs on dense ids.
         let mut interner = KeyInterner::new();
         for csag in csags {

@@ -1,12 +1,10 @@
 //! Sharded access sequences: per-key locking for the threaded executor.
 //!
-//! The first-generation executor kept every [`AccessSequence`] behind one
-//! global mutex, so two transactions touching disjoint state items still
-//! serialized on the same lock. This module spreads the sequences over `N`
+//! Behind one global mutex, two transactions touching disjoint state items
+//! would still serialize on the same lock. This module spreads the sequences over `N`
 //! power-of-two shards, each a `parking_lot::Mutex` over a dense slot
 //! array. Transactions touching different shards proceed fully in
-//! parallel; the global lock only reappears for keys that genuinely
-//! collide.
+//! parallel; they share a lock only when their keys map to one shard.
 //!
 //! Since the raw-speed pass, shards are addressed by interned [`KeyId`]s
 //! instead of hashed [`StateKey`]s: the block's [`KeyInterner`] assigns

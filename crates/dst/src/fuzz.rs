@@ -3,9 +3,9 @@
 //!
 //! For each seed the driver (a) generates a workload block, (b) applies the
 //! seeded [`FaultPlan`] (gas squeezes, C-SAG mispredictions, optionally
-//! stale-snapshot predictions), (c) runs the serial oracle, both threaded
-//! executors under a seeded [`VirtualScheduler`], and the virtual-time
-//! simulator, and (d) reports any disagreement as a [`Divergence`] that
+//! stale-snapshot predictions), (c) runs the serial oracle, the campaign's
+//! threaded engine under a seeded [`VirtualScheduler`], and the
+//! virtual-time simulator, and (d) reports any disagreement as a [`Divergence`] that
 //! carries everything needed to replay it: the seed, the (possibly shrunk)
 //! block size, and the thread count.
 //!
@@ -21,9 +21,8 @@ use std::time::{Duration, Instant};
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer, RefinementMode};
 use dmvcc_core::{
-    build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig,
-    GlobalLockParallelExecutor, HybridExecutor, ParallelConfig, ParallelExecutor, ParallelOutcome,
-    SchedulerPolicy, StmExecutor,
+    build_csags, execute_block_serial, simulate_dmvcc, BlockTrace, DmvccConfig, HybridExecutor,
+    ParallelConfig, ParallelExecutor, ParallelOutcome, SchedulerPolicy, StmExecutor,
 };
 use dmvcc_state::{LsmBackend, LsmOptions, MemBackend, Snapshot, StateBackend, StateDb, WriteSet};
 use dmvcc_vm::{BlockEnv, Transaction};
@@ -116,12 +115,13 @@ impl Profile {
 /// Which engine a fuzz case exercises against the serial oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineUnderTest {
-    /// The original differential pair: the sharded predictive executor and
-    /// the global-lock executor, both on the same perturbed C-SAGs.
+    /// The sharded predictive executor on the perturbed C-SAGs.
     #[default]
-    Pair,
+    Sharded,
     /// The Block-STM-style optimistic executor (the perturbed C-SAGs are
     /// passed as an interning hint, which must never affect correctness).
+    /// It shares no sequence or shard code with the predictive engine,
+    /// which makes it the sharded engine's independent cross-check.
     Stm,
     /// The hybrid dispatcher: well-predicted transactions stay predictive,
     /// speculative/unanalyzable ones are stripped to optimistic C-SAGs. A
@@ -134,7 +134,7 @@ impl EngineUnderTest {
     /// Parses the CLI spelling of an engine.
     pub fn parse(name: &str) -> Option<EngineUnderTest> {
         match name {
-            "pair" => Some(EngineUnderTest::Pair),
+            "sharded" => Some(EngineUnderTest::Sharded),
             "stm" => Some(EngineUnderTest::Stm),
             "hybrid" => Some(EngineUnderTest::Hybrid),
             _ => None,
@@ -144,7 +144,7 @@ impl EngineUnderTest {
     /// The CLI spelling (inverse of [`Self::parse`]).
     pub fn label(self) -> &'static str {
         match self {
-            EngineUnderTest::Pair => "pair",
+            EngineUnderTest::Sharded => "sharded",
             EngineUnderTest::Stm => "stm",
             EngineUnderTest::Hybrid => "hybrid",
         }
@@ -189,7 +189,7 @@ impl BackendUnderTest {
 /// One fuzz campaign's fixed parameters (the seed varies per case).
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
-    /// Worker threads for both threaded executors and the simulator.
+    /// Worker threads for the threaded engine and the simulator.
     pub threads: usize,
     /// Block size per case (shrinking lowers it per-repro).
     pub size: usize,
@@ -217,7 +217,7 @@ pub struct FuzzConfig {
     /// C-SAG refinement strategy (two-tier symbolic binding by default;
     /// `SpeculativeOnly` pins the paper's baseline path).
     pub refinement: RefinementMode,
-    /// Ready-queue ordering of both threaded executors (critical-path
+    /// Ready-queue ordering of the predictive engine (critical-path
     /// rank dispatch by default, matching production; `Fifo` fuzzes the
     /// arrival-order deques).
     pub scheduler: SchedulerPolicy,
@@ -248,7 +248,7 @@ impl Default for FuzzConfig {
             refinement: RefinementMode::TwoTier,
             scheduler: SchedulerPolicy::CriticalPath,
             pin_cores: false,
-            engine: EngineUnderTest::Pair,
+            engine: EngineUnderTest::Sharded,
             backend: BackendUnderTest::None,
         }
     }
@@ -290,12 +290,13 @@ pub struct Divergence {
     pub size: usize,
     /// Thread count of the diverging run.
     pub threads: usize,
-    /// Which executor diverged (`sharded`, `global-lock`, `simulator`).
+    /// Which executor diverged (`sharded`, `stm`, `hybrid`,
+    /// `state-backend`, `simulator`).
     pub executor: &'static str,
     /// Ready-queue policy of the diverging run (part of the replay
     /// command — schedule-dependent bugs often reproduce under only one).
     pub policy: &'static str,
-    /// Engine axis of the diverging campaign (`pair`, `stm`, `hybrid`);
+    /// Engine axis of the diverging campaign (`sharded`, `stm`, `hybrid`);
     /// non-default engines are part of the replay command.
     pub engine: &'static str,
     /// Backend axis of the diverging campaign (`plain`, `mem`, `lsm`);
@@ -321,7 +322,7 @@ impl fmt::Display for Divergence {
              --scheduler {}",
             self.seed, self.size, self.threads, self.policy
         )?;
-        if self.engine != "pair" {
+        if self.engine != "sharded" {
             write!(f, " --executor {}", self.engine)?;
         }
         if self.backend != "plain" {
@@ -466,7 +467,7 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
         // including the oracle.
         trace = execute_block_serial(&txs, &live, &analyzer, &env);
     }
-    if config.engine != EngineUnderTest::Pair {
+    if config.engine != EngineUnderTest::Sharded {
         // The optimistic campaigns fuzz the pool-desync scenario: a seeded
         // quarter of the block carries no predictions at all. The flag is
         // scheduling metadata only — the serial oracle is unaffected.
@@ -483,19 +484,11 @@ pub fn run_seed(seed: u64, config: &FuzzConfig) -> Option<Divergence> {
     };
 
     match config.engine {
-        EngineUnderTest::Pair => {
+        EngineUnderTest::Sharded => {
             let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
             let sharded = ParallelExecutor::new(analyzer.clone(), parallel_config).with_hook(hook);
             let outcome = sharded.execute_block_with_csags(&txs, &live, &env, &csags);
             if let Some(divergence) = check_outcome("sharded", seed, config, &trace, &outcome) {
-                return Some(divergence);
-            }
-
-            let hook = Arc::new(VirtualScheduler::new(config.sched_config(seed)));
-            let global =
-                GlobalLockParallelExecutor::new(analyzer.clone(), parallel_config).with_hook(hook);
-            let outcome = global.execute_block_with_csags(&txs, &live, &env, &csags);
-            if let Some(divergence) = check_outcome("global-lock", seed, config, &trace, &outcome) {
                 return Some(divergence);
             }
         }
@@ -736,7 +729,7 @@ mod tests {
             threads: 4,
             executor: "sharded",
             policy: "critical-path",
-            engine: "pair",
+            engine: "sharded",
             backend: "plain",
             details: vec!["missing k: serial=1".into()],
         };
@@ -853,7 +846,7 @@ mod tests {
     #[test]
     fn call_heavy_seeds_agree_on_every_engine() {
         for engine in [
-            EngineUnderTest::Pair,
+            EngineUnderTest::Sharded,
             EngineUnderTest::Stm,
             EngineUnderTest::Hybrid,
         ] {
@@ -878,7 +871,7 @@ mod tests {
     #[test]
     fn nft_mint_rush_seeds_agree_on_every_engine() {
         for engine in [
-            EngineUnderTest::Pair,
+            EngineUnderTest::Sharded,
             EngineUnderTest::Stm,
             EngineUnderTest::Hybrid,
         ] {

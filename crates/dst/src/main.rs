@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]
-//!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
+//!                  [--profile ethereum|hot|loop|call|nft] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
 //!                  [--scheduler fifo|critical-path] [--pin-cores]
-//!                  [--executor pair|stm|hybrid] [--backend plain|mem|lsm]
+//!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //!                  [--budget-secs N] [--quiet]
 //! dmvcc-dst replay --seed S [--size N] [--threads N]
-//!                  [--profile ethereum|hot|loop|call] [--mutate skip-release-gas-bound]
+//!                  [--profile ethereum|hot|loop|call|nft] [--mutate skip-release-gas-bound]
 //!                  [--refinement two-tier|speculative]
 //!                  [--scheduler fifo|critical-path] [--pin-cores]
-//!                  [--executor pair|stm|hybrid] [--backend plain|mem|lsm]
+//!                  [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]
 //! ```
 //!
 //! `fuzz` runs a seed campaign and exits non-zero on the first divergence,
@@ -27,16 +27,16 @@ use dmvcc_dst::{fuzz, run_seed, BackendUnderTest, EngineUnderTest, FuzzConfig, M
 fn usage(error: &str) -> ExitCode {
     eprintln!("error: {error}");
     eprintln!("usage: dmvcc-dst fuzz   [--seeds N] [--start S] [--size N] [--threads N]");
-    eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
+    eprintln!("                        [--profile ethereum|hot|loop|call|nft] [--mutate MUTATION]");
     eprintln!("                        [--refinement two-tier|speculative]");
     eprintln!("                        [--scheduler fifo|critical-path] [--pin-cores]");
-    eprintln!("                        [--executor pair|stm|hybrid] [--backend plain|mem|lsm]");
+    eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
     eprintln!("                        [--budget-secs N] [--quiet]");
     eprintln!("       dmvcc-dst replay --seed S [--size N] [--threads N]");
-    eprintln!("                        [--profile ethereum|hot|loop|call] [--mutate MUTATION]");
+    eprintln!("                        [--profile ethereum|hot|loop|call|nft] [--mutate MUTATION]");
     eprintln!("                        [--refinement two-tier|speculative]");
     eprintln!("                        [--scheduler fifo|critical-path] [--pin-cores]");
-    eprintln!("                        [--executor pair|stm|hybrid] [--backend plain|mem|lsm]");
+    eprintln!("                        [--executor sharded|stm|hybrid] [--backend plain|mem|lsm]");
     eprintln!("mutations: none, skip-release-gas-bound");
     ExitCode::from(2)
 }

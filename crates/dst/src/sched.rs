@@ -128,8 +128,8 @@ pub struct SchedStats {
 }
 
 /// The seeded scheduler. Install with
-/// [`dmvcc_core::ParallelExecutor::with_hook`] (and the global-lock
-/// equivalent); one instance per executor run.
+/// [`dmvcc_core::ParallelExecutor::with_hook`] (or the STM and hybrid
+/// equivalents); one instance per executor run.
 #[derive(Debug)]
 pub struct VirtualScheduler {
     config: SchedConfig,

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use dmvcc_analysis::{AnalysisConfig, Analyzer};
 use dmvcc_core::{
-    build_csags, execute_block_serial, GlobalLockParallelExecutor, HybridExecutor, ParallelConfig,
-    ParallelExecutor, SchedulerPolicy, StmExecutor,
+    build_csags, execute_block_serial, HybridExecutor, ParallelConfig, ParallelExecutor,
+    SchedulerPolicy, StmExecutor,
 };
 use dmvcc_dst::{FaultPlan, SchedConfig, VirtualScheduler};
 use dmvcc_state::{Snapshot, StateDb};
@@ -270,9 +270,10 @@ fn injected_mispredictions_eight_threads_match_serial() {
     // predicted keys and grafts phantom writes onto the C-SAGs, the
     // virtual scheduler perturbs the interleaving (preemption bursts,
     // delayed publishes, injected abort storms, forced release gates) on
-    // eight oversubscribed workers — and both threaded executors must
-    // still agree with the serial oracle, key for key and status for
-    // status.
+    // eight oversubscribed workers — and both the sharded engine and the
+    // independent optimistic (STM) engine must still agree with the
+    // serial oracle, key for key and status for status. STM takes the
+    // perturbed C-SAGs as an interning hint only.
     let mut generator = WorkloadGenerator::new(small(WorkloadConfig::high_contention(27)));
     let analyzer = Analyzer::with_config(
         generator.registry().clone(),
@@ -315,19 +316,19 @@ fn injected_mispredictions_eight_threads_match_serial() {
             policy.label()
         );
 
-        let global = GlobalLockParallelExecutor::new(analyzer.clone(), config)
+        let stm = StmExecutor::new(analyzer.clone(), config)
             .with_hook(Arc::new(VirtualScheduler::new(SchedConfig::stormy(27))));
-        let outcome = global.execute_block_with_csags(&txs, &genesis, &env, &csags);
+        let outcome = stm.execute_block_with_csags(&txs, &genesis, &env, &csags);
         assert_eq!(
             outcome.final_writes,
             trace.final_writes,
-            "global-lock executor diverged from serial under injected mispredictions ({})",
+            "STM executor diverged from serial under injected mispredictions ({})",
             policy.label()
         );
         assert_eq!(
             outcome.statuses,
             serial_statuses,
-            "global-lock statuses diverged ({})",
+            "STM statuses diverged ({})",
             policy.label()
         );
     }
